@@ -15,12 +15,13 @@ integers throughout (they overflow any fixed-width type quickly).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import ResourceLimitError
 from .periodic import PeriodicSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Default budget on dense grid cells; covers dimension 3 up to half-length 12.
 DEFAULT_MAX_CELLS = 200_000
@@ -62,6 +63,8 @@ def _check_budget(dim: int, max_half_len: int, max_cells: Optional[int]) -> None
 
 def _advance(arr: np.ndarray) -> np.ndarray:
     """Apply one ``{-1,+1}**d`` step as d axis-wise shift-adds."""
+    import numpy as np
+
     for axis in range(arr.ndim):
         nxt = np.zeros_like(arr)
         upper = tuple(
@@ -87,7 +90,12 @@ def _origin_walk(
     origin_even[k]  occupation of the origin after step 2k, before erasing;
     total_even[k]   total mass after step 2k, after erasing if forbidden;
     total_odd[k]    total mass after step 2k + 1.
+
+    numpy is imported here, not at module level, so that importing the
+    package and the series route never pay for it.
     """
+    import numpy as np
+
     _check_budget(dim, max_half_len, max_cells)
     side = 4 * max_half_len + 3
     arr = np.zeros((side,) * dim, dtype=object)

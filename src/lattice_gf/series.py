@@ -1,10 +1,17 @@
-"""Exact truncated formal power series over rational coefficients.
+"""Exact truncated formal power series over integer or rational coefficients.
 
-A series is a dense vector of ``fractions.Fraction`` coefficients
-``c0, c1, ..., c_{N-1}`` for a fixed truncation order ``N``.  The order is
-part of the value: binary operations refuse operands of different orders
-instead of silently re-truncating, which keeps long identity chains honest
-about how far they are exact.
+A series is a dense vector of exact coefficients ``c0, c1, ..., c_{N-1}``
+for a fixed truncation order ``N``.  Coefficients are plain ``int`` wherever
+they are integral and ``fractions.Fraction`` only where a value really is
+rational: a ``Fraction`` supplied by the caller, the inverse of a constant
+term other than +-1, or a square-root expansion whose base is not divisible
+by 4.  The walk series of this package have integer coefficients and unit
+constant terms, so they stay in ``Z[[t]]`` throughout.  Other inputs, such as
+floats, are converted exactly with ``Fraction``.
+
+The order is part of the value: binary operations refuse operands of
+different orders instead of silently re-truncating, which keeps long identity
+chains honest about how far they are exact.
 
 Everywhere in this package one unit of the formal parameter ``t`` accounts
 for two lattice steps, so the coefficient at index ``j`` counts objects of
@@ -15,11 +22,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from numbers import Integral
+from operator import add, neg, sub
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
+_ZERO = 0
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _exact(value) -> Scalar:
+    """``value`` as a plain int when it is an integer, else as a Fraction."""
+    if type(value) is int or type(value) is Fraction:
+        return value
+    if isinstance(value, Integral):
+        return int(value)
+    return Fraction(value)
 
 
 class TruncatedSeries:
@@ -28,7 +47,9 @@ class TruncatedSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        cs = tuple(coeffs)
+        if not _EXACT_TYPES.issuperset(map(type, cs)):
+            cs = tuple(map(_exact, cs))
         if not cs:
             raise ValueError("a series needs a positive truncation order")
         self.coeffs = cs
@@ -48,7 +69,7 @@ class TruncatedSeries:
         if order < 1:
             raise ValueError("truncation order must be positive")
         row = [_ZERO] * order
-        row[0] = Fraction(value)
+        row[0] = _exact(value)
         return cls(row)
 
     @classmethod
@@ -60,7 +81,7 @@ class TruncatedSeries:
             raise ValueError("exponent must be nonnegative")
         row = [_ZERO] * order
         if exponent < order:
-            row[exponent] = Fraction(coeff)
+            row[exponent] = _exact(coeff)
         return cls(row)
 
     # -- basic queries -----------------------------------------------------
@@ -70,10 +91,10 @@ class TruncatedSeries:
         return len(self.coeffs)
 
     @property
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Scalar:
         return self.coeffs[0]
 
-    def coefficient(self, j: int) -> Fraction:
+    def coefficient(self, j: int) -> Scalar:
         if not 0 <= j < self.order:
             raise ValueError(f"index {j} outside truncation order {self.order}")
         return self.coeffs[j]
@@ -90,50 +111,59 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        return TruncatedSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return TruncatedSeries(map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        return TruncatedSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return TruncatedSeries(map(sub, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return TruncatedSeries(-c for c in self.coeffs)
+        return TruncatedSeries(map(neg, self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            scale = Fraction(other)
+            scale = _exact(other)
             return TruncatedSeries(c * scale for c in self.coeffs)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
         n = self.order
-        a, b = self.coeffs, other.coeffs
+        # Multisections are sparse, so walk only the nonzero terms of b.
+        support = [(j, bj) for j, bj in enumerate(other.coeffs) if bj]
         out = [_ZERO] * n
-        for i, ai in enumerate(a):
+        for i, ai in enumerate(self.coeffs):
             if not ai:
                 continue
-            for j in range(n - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+            limit = n - i
+            for j, bj in support:
+                if j >= limit:
+                    break
+                out[i + j] += ai * bj
         return TruncatedSeries(out)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse in the truncated ring."""
+        """Multiplicative inverse in the truncated ring.
+
+        A unit constant term (+-1) is its own inverse, so integer series stay
+        integer; any other constant term makes the result rational.
+        """
         a = self.coeffs
-        if a[0] == 0:
+        a0 = a[0]
+        if a0 == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv0 = 1 / a[0]
+        inv0 = a0 if a0 == 1 or a0 == -1 else Fraction(1, a0)
+        support = [(i, a[i]) for i in range(1, self.order) if a[i]]
         out = [inv0]
         for j in range(1, self.order):
             acc = _ZERO
-            for i in range(1, j + 1):
-                if a[i]:
-                    acc += a[i] * out[j - i]
+            for i, ai in support:
+                if i > j:
+                    break
+                acc += ai * out[j - i]
             out.append(-inv0 * acc)
         return TruncatedSeries(out)
 
@@ -157,7 +187,7 @@ class TruncatedSeries:
         """Multiply by ``coeff * t**exponent``, truncating at the same order."""
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        scale = Fraction(coeff)
+        scale = _exact(coeff)
         n = self.order
         out = [_ZERO] * n
         for j in range(exponent, n):
@@ -204,16 +234,20 @@ def inv_sqrt_one_minus_monomial(coeff: Scalar, exponent: int, order: int) -> Tru
     """Expansion of ``(1 - coeff * t**exponent) ** (-1/2)``.
 
     The coefficient at ``t**(j*exponent)`` is ``comb(2j, j) * (coeff/4)**j``
-    and every other coefficient vanishes.
+    and every other coefficient vanishes.  The coefficients are integers
+    when 4 divides ``coeff``, as in the Hajnal-Nagy case ``4**(2k)``.
     """
     if order < 1:
         raise ValueError("truncation order must be positive")
     if exponent < 1:
         raise ValueError("exponent must be positive")
-    base = Fraction(coeff) / 4
+    coeff = _exact(coeff)
+    if type(coeff) is int and coeff % 4 == 0:
+        base, power = coeff // 4, 1
+    else:
+        base, power = Fraction(coeff) / 4, Fraction(1)
     out = [_ZERO] * order
     j = 0
-    power = Fraction(1)
     while j * exponent < order:
         out[j * exponent] = comb(2 * j, j) * power
         power *= base

@@ -159,14 +159,24 @@ class RestrictedPathSolution:
     series: dict[int, TruncatedSeries]
 
 
+def check_walk_series(residue: int, series: TruncatedSeries) -> None:
+    """Raise ArithmeticError unless ``series`` can count walks: every
+    coefficient a nonnegative ``int`` and the constant term 1."""
+    for index, c in enumerate(series.coeffs):
+        if type(c) is not int or c < 0 or (index == 0 and c != 1):
+            raise ArithmeticError(
+                f"restricted-walk series for residue {residue} has bad"
+                f" coefficient {c!r} at index {index}: expected a nonnegative"
+                " int, and 1 at index 0"
+            )
+
+
 @lru_cache(maxsize=None)
 def _solution_tuple(dim: int, restriction: PeriodicSet, order: int):
     matrix, rhs = build_system(dim, restriction, order)
     solution = solve_linear_system(matrix, rhs)
-    for series in solution:
-        assert series.constant_term == 1 and all(
-            c.denominator == 1 and c >= 0 for c in series.coeffs
-        ), "restricted-walk series must have nonnegative integer coefficients"
+    for residue, series in zip(restriction.residues, solution):
+        check_walk_series(residue, series)
     return tuple(solution)
 
 

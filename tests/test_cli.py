@@ -6,11 +6,34 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lattice_gf.cli import main, payload_to_series, series_to_payload
+from lattice_gf.periodic import PeriodicSet
 from lattice_gf.series import TruncatedSeries
+from lattice_gf.system import restricted_path_gf
+
+
+DATA = Path(__file__).parent / "data"
+
+# `gf --dim 2 --residues 0,1 --period 3 --order 12 --format csv`, pinned.
+PINNED_CSV = (
+    "k,length,numerator,denominator\r\n"
+    "0,0,1,1\r\n"
+    "1,2,16,1\r\n"
+    "2,4,220,1\r\n"
+    "3,6,3520,1\r\n"
+    "4,8,56320,1\r\n"
+    "5,10,852016,1\r\n"
+    "6,12,13632256,1\r\n"
+    "7,14,218116096,1\r\n"
+    "8,16,3374598172,1\r\n"
+    "9,18,53993570752,1\r\n"
+    "10,20,863897132032,1\r\n"
+    "11,22,13497847926592,1\r\n"
+)
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +50,32 @@ class TestSerialization:
     def test_payload_is_exact_strings(self):
         s = TruncatedSeries([Fraction(2, 3)])
         assert series_to_payload(s) == [{"n": "2", "d": "3"}]
+
+
+class TestOutputStability:
+    ARGS = ("gf", "--dim", "2", "--residues", "0,1", "--period", "3",
+            "--order", "12")
+
+    def test_json_document_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, *self.ARGS)
+        assert code == 0
+        pinned = (DATA / "gf_dim2_res01_mod3_order12.json").read_bytes()
+        assert out.encode() == pinned
+        document = json.loads(out)
+        assert all(item["d"] == "1" for item in document["coefficients"])
+
+    def test_csv_document_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, *self.ARGS, "--format", "csv")
+        assert code == 0
+        assert out == PINNED_CSV
+
+    def test_payload_round_trips_solved_series(self, capsys):
+        code, out, _ = run_cli(capsys, *self.ARGS)
+        assert code == 0
+        payload = json.loads(out)["coefficients"]
+        series = payload_to_series(payload)
+        assert series_to_payload(series) == payload
+        assert series == restricted_path_gf(2, PeriodicSet((0, 1), 3), 0, 12)
 
 
 class TestGfCommand:
@@ -222,3 +271,11 @@ class TestModuleEntryPoint:
         assert result.returncode == 0
         series = payload_to_series(json.loads(result.stdout)["coefficients"])
         assert series.coeffs == (1, 2, 8)
+
+    def test_import_does_not_load_numpy(self):
+        # numpy is needed only by the enumeration oracle's dynamic program.
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import lattice_gf.cli, sys; assert 'numpy' not in sys.modules"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

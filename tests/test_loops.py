@@ -79,6 +79,13 @@ class TestLoopModel:
                     assert c.denominator == 1
                     assert c >= 0
 
+    def test_series_coefficients_are_plain_ints(self):
+        for dim in (1, 2, 3, 4):
+            model = LoopModel(dim=dim, order=12)
+            for gf in (model.loop_gf(), model.primitive_excursion_gf(),
+                       model.escaping_gf()):
+                assert all(type(c) is int for c in gf.coeffs)
+
     def test_dimension_cap(self):
         with pytest.raises(ResourceLimitError):
             LoopModel(dim=5, order=4)

@@ -40,6 +40,23 @@ def series_triple_st(draw):
     return tuple(draw(series_st(order=n)) for _ in range(3))
 
 
+ints_st = st.integers(min_value=-50, max_value=50)
+
+
+@st.composite
+def int_pair_st(draw):
+    """Two int coefficient lists of one order, the second with a unit
+    constant term so that it can be inverted without leaving Z."""
+    n = draw(orders_st)
+    a = [draw(ints_st) for _ in range(n)]
+    b = [draw(st.sampled_from((1, -1)))] + [draw(ints_st) for _ in range(n - 1)]
+    return a, b
+
+
+def all_int(s):
+    return all(type(c) is int for c in s.coeffs)
+
+
 class TestConstruction:
     def test_zero_one_constant(self):
         assert TruncatedSeries.zero(3).coeffs == (0, 0, 0)
@@ -135,6 +152,48 @@ class TestRingOps:
         one = TruncatedSeries.one(s.order)
         assert s * s.inverse() == one
         assert s.inverse() * s == one
+
+
+class TestExactness:
+    def test_non_unit_inverse_is_fraction_not_float(self):
+        for a0 in (2, 3, -7):
+            inv = TruncatedSeries([a0, 1]).inverse()
+            assert inv.coeffs == (Fraction(1, a0), Fraction(-1, a0 * a0))
+            assert all(type(c) is Fraction for c in inv.coeffs)
+
+    def test_int_inputs_give_int_outputs(self):
+        a = TruncatedSeries([1, 3, 0, -2, 5, 0, 7])
+        b = TruncatedSeries([-1, 0, 4, 1, 0, 0, 2])
+        for result in (a * b, a.inverse(), b.inverse(), a.multisection(3, 1),
+                       a.shift_by_monomial(4, 2), 3 * a, a + b, a - b, -a):
+            assert all_int(result), result
+
+    def test_constructors_keep_ints(self):
+        for s in (TruncatedSeries.one(4), TruncatedSeries.zero(4),
+                  TruncatedSeries.constant(3, 4), TruncatedSeries.monomial(5, 2, 4)):
+            assert all_int(s)
+
+    def test_other_inputs_converted_exactly(self):
+        s = TruncatedSeries([0.5, True, Fraction(3, 4)])
+        assert s.coeffs == (Fraction(1, 2), 1, Fraction(3, 4))
+        assert [type(c) for c in s.coeffs] == [Fraction, int, Fraction]
+
+    def test_inverse_square_root_integral_when_four_divides(self):
+        assert all_int(inv_sqrt_one_minus_monomial(4 ** 4, 4, 13))
+        halves = inv_sqrt_one_minus_monomial(2, 1, 3)
+        assert halves.coeffs == (1, 1, Fraction(3, 2))
+        assert type(halves.coeffs[2]) is Fraction
+
+    @given(int_pair_st())
+    def test_int_product_and_inverse_match_fraction_arithmetic(self, pair):
+        a_ints, b_ints = pair
+        a, b = TruncatedSeries(a_ints), TruncatedSeries(b_ints)
+        a_q = TruncatedSeries([Fraction(c) for c in a_ints])
+        b_q = TruncatedSeries([Fraction(c) for c in b_ints])
+        for got, want in ((a * b, a_q * b_q), (b.inverse(), b_q.inverse()),
+                          (a * b.inverse(), a_q * b_q.inverse())):
+            assert got == want
+            assert all_int(got)
 
 
 class TestMultisection:

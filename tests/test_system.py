@@ -11,6 +11,7 @@ from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import (
     SeriesMatrix,
     build_system,
+    check_walk_series,
     period_two_closed_form,
     reduction_check,
     restricted_path_gf,
@@ -130,6 +131,34 @@ class TestRestrictedGf:
         restriction = PeriodicSet((0, 2), 4)
         solution = solve_restricted(1, restriction, 10)
         assert solution.series[0] == solution.series[2]
+
+
+class TestWalkSeriesCheck:
+    def test_solutions_are_plain_ints(self):
+        for dim, restriction in ((1, PeriodicSet((0, 2), 5)),
+                                 (2, PeriodicSet((0, 1), 3)),
+                                 (3, hajnal_nagy_set(2))):
+            for start in restriction.residues:
+                gf = restricted_path_gf(dim, restriction, start, 10)
+                assert all(type(c) is int for c in gf.coeffs)
+
+    def test_accepts_walk_series(self):
+        check_walk_series(0, TruncatedSeries([1, 0, 4, 16]))
+
+    @pytest.mark.parametrize("coeffs, index", [
+        ([1, 2, -3], 2),
+        ([2, 2, 3], 0),
+        ([1, Fraction(1, 2), 3], 1),
+        ([1, 2, Fraction(8)], 2),
+    ])
+    def test_rejects_bad_series(self, coeffs, index):
+        bad = coeffs[index]
+        with pytest.raises(ArithmeticError) as excinfo:
+            check_walk_series(3, TruncatedSeries(coeffs))
+        message = str(excinfo.value)
+        assert "residue 3" in message
+        assert f"index {index}" in message
+        assert repr(bad) in message
 
 
 class TestClosedFormPeriodTwo:
