@@ -9,6 +9,13 @@ determinant-preserving column substitution connects the two quarters.  Via
 Cramer's rule this expresses the even multisection of the restricted walk
 series as a ratio of quarter determinants, and in one dimension the full
 determinant collapses to ``sqrt(1 - (4t)**(2k))``.
+
+The ``j``-th first-row entry of these circulants is the ``(n, j)``
+multisection of a series, so entry ``(i, j)`` lives on exponents congruent to
+``j - i`` mod ``n``.  ``Circulant`` detects this from its first row; the full
+matrix and the upper-left quarter then carry the grading ``(n, range(...))``,
+and ``series_determinant`` runs the elimination kernel of ``system`` on it,
+keeping each entry as a series in ``t**n``.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 from .loops import LoopModel
 from .periodic import hajnal_nagy_set
 from .series import TruncatedSeries, inv_sqrt_one_minus_monomial
-from .system import SeriesMatrix, restricted_path_gf
+from .system import SeriesMatrix, _eliminate, restricted_path_gf
 
 
 class Circulant:
@@ -43,34 +50,38 @@ class Circulant:
     def entry(self, i: int, j: int) -> TruncatedSeries:
         return self.first_row[(j - i) % self.n]
 
+    @property
+    def grading(self) -> tuple[int, tuple[int, ...]]:
+        """``(n, (0, ..., n-1))`` when every ``first_row[j]`` is supported on
+        exponents congruent to ``j`` mod ``n``, else the trivial grading."""
+        n = self.n
+        if all(entry.is_multisection(n, j) for j, entry in enumerate(self.first_row)):
+            return n, tuple(range(n))
+        return 1, (0,) * n
+
     def to_matrix(self) -> SeriesMatrix:
         n = self.n
         return SeriesMatrix(
-            [[self.entry(i, j) for j in range(n)] for i in range(n)]
+            [[self.entry(i, j) for j in range(n)] for i in range(n)], self.grading
         )
 
 
 def restriction_circulant(dim: int, n: int, order: int) -> Circulant:
     """Circulant whose principal submatrices are restriction system matrices.
 
-    The first row is built two equivalent ways and cross-checked: from the
-    simple-loop series (diagonal entries get the extra 1) and as the
-    multisections of the reciprocal loop series.
+    The first row splits one minus the simple-loop series into its ``n``
+    multisections, which are also the multisections of the reciprocal loop
+    series.
     """
     if n < 1:
         raise ValueError("circulant size must be positive")
     model = LoopModel(dim, order)
     excursions = model.primitive_excursion_gf()
     one = TruncatedSeries.one(order)
-    from_excursions = [one - excursions.multisection(n, 0)] + [
-        -excursions.multisection(n, j) for j in range(1, n)
-    ]
-    reciprocal = model.loop_gf().inverse()
-    from_reciprocal = [reciprocal.multisection(n, j) for j in range(n)]
-    assert from_excursions == from_reciprocal, (
-        "the two constructions of the restriction row disagree"
+    return Circulant(
+        [one - excursions.multisection(n, 0)]
+        + [-excursions.multisection(n, j) for j in range(1, n)]
     )
-    return Circulant(from_excursions)
 
 
 def escaping_circulant(dim: int, n: int, order: int) -> Circulant:
@@ -99,49 +110,41 @@ def row_relation_check(dim: int, n: int, order: int) -> bool:
 
 
 def series_determinant(matrix: SeriesMatrix) -> TruncatedSeries:
-    """Exact determinant by elimination; every pivot must be a unit."""
-    n = matrix.n
-    rows = [list(row) for row in matrix.rows]
-    det = TruncatedSeries.one(matrix.order)
-    for i in range(n):
-        pivot = rows[i][i]
-        if pivot.constant_term == 0:
-            raise ArithmeticError(
-                "determinant needs unit pivots; found zero constant term"
-            )
-        det = det * pivot
-        inv = pivot.inverse()
-        for r in range(i + 1, n):
-            factor = rows[r][i] * inv
-            rows[r] = [rows[r][j] - factor * rows[i][j] for j in range(n)]
-    return det
+    """Exact determinant by elimination; every pivot must be a unit.
+
+    The determinant is the product of the pivots on the diagonal of the
+    triangular form.  They lie in class 0 of the matrix grading, so the
+    product is taken in ``u = t**period`` and expanded back to ``t``.
+    """
+    rows, _, _ = _eliminate(matrix)
+    det = TruncatedSeries(rows[0][0])
+    for i in range(1, matrix.n):
+        det = det * TruncatedSeries(rows[i][i])
+    coeffs = [0] * matrix.order
+    coeffs[:: matrix.grading[0]] = det.coeffs
+    return TruncatedSeries(coeffs)
 
 
 def quarter(circ: Circulant, which: str) -> SeriesMatrix:
     """Upper-left ("left") or upper-right ("right") quarter of an even circulant.
 
-    The lower band repeats the upper one with its halves swapped; that block
-    symmetry is asserted on every call.
+    The left quarter keeps the circulant's grading.  The right one has the
+    trivial grading: its diagonal lies in class ``k``, not 0.
     """
     if circ.n % 2 != 0:
         raise ValueError("quarter split needs an even circulant size")
     k = circ.n // 2
     if which == "left":
         col0 = 0
+        period, labels = circ.grading
+        grading = (period, labels[:k])
     elif which == "right":
         col0 = k
+        grading = None
     else:
         raise ValueError("which must be 'left' or 'right'")
-    for i in range(k):
-        for j in range(k):
-            assert circ.entry(k + i, j) == circ.entry(i, k + j), (
-                "lower-left block must repeat the upper-right one"
-            )
-            assert circ.entry(k + i, k + j) == circ.entry(i, j), (
-                "lower-right block must repeat the upper-left one"
-            )
     return SeriesMatrix(
-        [[circ.entry(i, col0 + j) for j in range(k)] for i in range(k)]
+        [[circ.entry(i, col0 + j) for j in range(k)] for i in range(k)], grading
     )
 
 
@@ -161,7 +164,8 @@ def column_substitution_check(dim: int, k: int, order: int) -> bool:
                 for j in range(k)
             ]
             for i in range(k)
-        ]
+        ],
+        left_restriction.grading,
     )
     return series_determinant(substituted) == series_determinant(left_escaping)
 

@@ -119,9 +119,17 @@ def _max_cells() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        cells = int(raw)
     except ValueError:
         raise ValueError(f"{MAX_CELLS_ENV} must be an integer, got {raw!r}") from None
+    if cells < 1:
+        raise ValueError(f"{MAX_CELLS_ENV} must be positive, got {raw!r}")
+    return cells
+
+
+def _require_k_max(k_max: int) -> None:
+    if k_max < 1:
+        raise ValueError(f"--k-max must be at least 1, got {k_max}")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -235,6 +243,7 @@ def _first_difference(a: TruncatedSeries, b: TruncatedSeries):
 
 
 def cmd_verify_hn(args) -> int:
+    _require_k_max(args.k_max)
     all_ok = True
     for k in range(1, args.k_max + 1):
         family = hajnal_nagy_set(k)
@@ -267,6 +276,7 @@ def cmd_verify_hn(args) -> int:
 
 
 def cmd_verify_circulant(args) -> int:
+    _require_k_max(args.k_max)
     all_ok = True
     for k in range(1, args.k_max + 1):
         for name, ok in (

@@ -110,7 +110,10 @@ def _origin_walk(
         if step % 2 == 1:
             # Parity self-check: all coordinates are odd after an odd number
             # of steps, so the origin must be empty.
-            assert arr[origin] == 0, "origin occupied at an odd time"
+            if arr[origin] != 0:
+                raise ArithmeticError(
+                    f"origin occupied after odd step {step}: count {arr[origin]!r}"
+                )
             total_odd.append(int(arr.sum()))
         else:
             k = step // 2

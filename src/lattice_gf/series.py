@@ -41,6 +41,32 @@ def _exact(value) -> Scalar:
     return Fraction(value)
 
 
+def product_coeffs(f, g, size: int, shift: int = 0) -> list:
+    """Coefficients of ``x**shift * f(x) * g(x)`` below ``x**size``.
+
+    Multisections are sparse, so the loop walks only the nonzero terms of
+    ``g``.
+    """
+    support = [(j, gj) for j, gj in enumerate(g) if gj]
+    out = [_ZERO] * size
+    for i, fi in enumerate(f, shift):
+        if not fi:
+            continue
+        limit = size - i
+        for j, gj in support:
+            if j >= limit:
+                break
+            out[i + j] += fi * gj
+    return out
+
+
+def _check_section(q: int, r: int) -> None:
+    if q < 1:
+        raise ValueError("multisection modulus must be positive")
+    if not 0 <= r < q:
+        raise ValueError(f"multisection residue {r} outside [0, {q})")
+
+
 class TruncatedSeries:
     """A power series known exactly up to, but not including, ``t**order``."""
 
@@ -129,19 +155,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        n = self.order
-        # Multisections are sparse, so walk only the nonzero terms of b.
-        support = [(j, bj) for j, bj in enumerate(other.coeffs) if bj]
-        out = [_ZERO] * n
-        for i, ai in enumerate(self.coeffs):
-            if not ai:
-                continue
-            limit = n - i
-            for j, bj in support:
-                if j >= limit:
-                    break
-                out[i + j] += ai * bj
-        return TruncatedSeries(out)
+        return TruncatedSeries(product_coeffs(self.coeffs, other.coeffs, self.order))
 
     __rmul__ = __mul__
 
@@ -175,13 +189,20 @@ class TruncatedSeries:
         The result stays full length, so sums of the q multisections rebuild
         the original series coefficient for coefficient.
         """
-        if q < 1:
-            raise ValueError("multisection modulus must be positive")
-        if not 0 <= r < q:
-            raise ValueError(f"multisection residue {r} outside [0, {q})")
+        _check_section(q, r)
         return TruncatedSeries(
             c if j % q == r else _ZERO for j, c in enumerate(self.coeffs)
         )
+
+    def is_multisection(self, q: int, r: int) -> bool:
+        """Whether every nonzero coefficient sits at an index congruent to r
+        mod q, that is, whether the series equals its (q, r)-multisection."""
+        _check_section(q, r)
+        # Every coefficient outside the class is zero: the zeros outside the
+        # class are all the entries outside it.
+        cs = self.coeffs
+        section = cs[r::q]
+        return cs.count(0) - section.count(0) == len(cs) - len(section)
 
     def shift_by_monomial(self, coeff: Scalar, exponent: int) -> "TruncatedSeries":
         """Multiply by ``coeff * t**exponent``, truncating at the same order."""

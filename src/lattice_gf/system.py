@@ -13,25 +13,44 @@ for every admissible residue ``r``, the equation
 with ``E`` the simple-loop series, ``E_inf`` the escaping series and the sum
 over admissible residues ``q``.  At ``t = 0`` the matrix is the identity, so
 Gaussian elimination without pivot search solves it exactly.
+
+Entry ``(r, q)`` is supported on the single residue class ``shift(r, q)``
+mod the period, so it is ``t**c`` times a series in ``u = t**period``.  A
+``SeriesMatrix`` records such a grading as ``(period, labels)``: entry
+``(i, j)`` lives on exponents congruent to ``labels[j] - labels[i]``.
+Elimination keeps the grading, so the one kernel ``_eliminate``, shared by
+``solve_linear_system`` and the circulant determinants, stores each entry as
+its ``u``-coefficients only, about ``order / period`` of them.  A matrix
+without structure has the trivial grading ``(1, (0, ..., 0))``, under which
+the same kernel is plain dense elimination.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .loops import LoopModel
 from .periodic import PeriodicSet, shift_distance
-from .series import TruncatedSeries
+from .series import TruncatedSeries, product_coeffs
+
+# Solved systems kept by _solution_tuple, least recently used dropped first.
+SOLUTION_CACHE_SIZE = 32
 
 
 class SeriesMatrix:
-    """A square matrix of TruncatedSeries entries sharing one order."""
+    """A square matrix of TruncatedSeries entries sharing one order.
 
-    __slots__ = ("rows",)
+    ``grading = (period, labels)`` declares that entry ``(i, j)`` is supported
+    on exponents congruent to ``labels[j] - labels[i]`` mod ``period``.  The
+    default is the trivial grading ``(1, (0,) * n)``, which every matrix has;
+    a declared grading is checked entry by entry.
+    """
 
-    def __init__(self, rows):
+    __slots__ = ("rows", "grading")
+
+    def __init__(self, rows, grading=None):
         grid = tuple(tuple(row) for row in rows)
         if not grid:
             raise ValueError("matrix needs at least one row")
@@ -41,13 +60,20 @@ class SeriesMatrix:
         orders = {entry.order for row in grid for entry in row}
         if len(orders) != 1:
             raise ValueError("entries must share one truncation order")
+        period, labels = (1, (0,) * size) if grading is None else grading
+        labels = tuple(labels)
+        if period < 1 or len(labels) != size:
+            raise ValueError("grading needs a positive period and one label per row")
+        for i, row in enumerate(grid):
+            for j, entry in enumerate(row):
+                cls = (labels[j] - labels[i]) % period
+                if not entry.is_multisection(period, cls):
+                    raise ValueError(
+                        f"entry ({i}, {j}) has a coefficient outside its class"
+                        f" {cls} mod {period}"
+                    )
         self.rows = grid
-
-    @classmethod
-    def identity(cls, n: int, order: int) -> "SeriesMatrix":
-        one = TruncatedSeries.one(order)
-        zero = TruncatedSeries.zero(order)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        self.grading = (period, labels)
 
     @property
     def n(self) -> int:
@@ -71,52 +97,96 @@ class SeriesMatrix:
             out.append(acc)
         return out
 
-    def __matmul__(self, other):
-        if not isinstance(other, SeriesMatrix):
-            return NotImplemented
-        if self.n != other.n or self.order != other.order:
-            raise ValueError("matrix sizes or orders do not match")
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = TruncatedSeries.zero(self.order)
-                for m in range(n):
-                    acc = acc + self.rows[i][m] * other.rows[m][j]
-                row.append(acc)
-            rows.append(row)
-        return SeriesMatrix(rows)
-
     def __eq__(self, other):
         if isinstance(other, SeriesMatrix):
             return self.rows == other.rows
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.rows)
+
+def _dense_product(shift: int, f, dense: list, period: int) -> list:
+    """``t**shift * f(t**period)`` times a dense coefficient list, truncated
+    to its length: one slice pass per nonzero coefficient of ``f``."""
+    out = [0] * len(dense)
+    for k, fk in enumerate(f):
+        if fk:
+            e = shift + period * k
+            out[e:] = [x + fk * y for x, y in zip(out[e:], dense)]
+    return out
+
+
+def _eliminate(matrix: SeriesMatrix, rhs: Sequence[TruncatedSeries] = ()):
+    """Forward elimination over the series ring, no pivot search.
+
+    Entry ``(a, b)`` is kept as its ``u``-coefficients, ``coeffs[c::period]``
+    with ``c = (labels[b] - labels[a]) % period``; every update stays inside
+    its class.  ``rhs`` is reduced alongside as dense coefficient lists.
+
+    Returns ``(rows, inverses, vec)``: the upper triangle of the reduced
+    matrix (entries below the diagonal are left stale) and the inverse of
+    each pivot, as coefficient lists in ``u``, and the reduced right-hand
+    side.  The pivots, and so the determinant, lie in class 0.  Every pivot
+    must be a unit.
+    """
+    period, labels = matrix.grading
+    n, order = matrix.n, matrix.order
+    sizes = [len(range(c, order, period)) for c in range(period)]
+    classes = [[(lb - la) % period for lb in labels] for la in labels]
+    rows = [
+        [entry.coeffs[c::period] for entry, c in zip(row, row_classes)]
+        for row, row_classes in zip(matrix.rows, classes)
+    ]
+    vec = [list(series.coeffs) for series in rhs]
+    inverses = []
+    for i in range(n):
+        pivot = rows[i][i]
+        if pivot[0] == 0:
+            raise ArithmeticError(
+                f"pivot {i} has zero constant term: elimination needs unit pivots"
+            )
+        inv = TruncatedSeries(pivot).inverse().coeffs
+        inverses.append(inv)
+        row_i = rows[i]
+        for j in range(i + 1, n):
+            c = classes[j][i]
+            factor = product_coeffs(rows[j][i], inv, sizes[c])
+            if not any(factor):
+                continue
+            row_j = rows[j]
+            for m in range(i + 1, n):
+                # t**c f times t**b g is t**((c + b) % period) times
+                # u**carry f g, where the carry is 1 when c + b >= period.
+                carry = c + classes[i][m] >= period
+                product = product_coeffs(factor, row_i[m], sizes[classes[j][m]], carry)
+                row_j[m] = [x - y for x, y in zip(row_j[m], product)]
+            if vec:
+                product = _dense_product(c, factor, vec[i], period)
+                vec[j] = [x - y for x, y in zip(vec[j], product)]
+    return rows, inverses, vec
 
 
 def build_system(dim: int, restriction: PeriodicSet, order: int):
     """The coefficient matrix and right-hand side of the return decomposition.
 
-    Rows and columns follow ``restriction.residues``.  Diagonal entries have
-    constant term 1 and off-diagonal entries constant term 0, which is what
-    lets the solver skip pivot search.
+    Rows and columns follow ``restriction.residues``, which also grade the
+    matrix with ``restriction.period``.  An entry depends only on its class,
+    so each class is built once.  Diagonal entries have constant term 1 and
+    off-diagonal entries constant term 0, which is what lets the solver skip
+    pivot search.
     """
     model = LoopModel(dim, order)
     excursions = model.primitive_excursion_gf()
     escaping = model.escaping_gf()
     period = restriction.period
-    one = TruncatedSeries.one(order)
-    rows = []
-    for r in restriction.residues:
-        row = []
-        for q in restriction.residues:
-            piece = excursions.multisection(period, shift_distance(r, q, period))
-            row.append(one - piece if r == q else -piece)
-        rows.append(row)
-    return SeriesMatrix(rows), [escaping] * restriction.size
+    residues = restriction.residues
+    shifts = {shift_distance(r, q, period) for r in residues for q in residues}
+    pieces = {s: -excursions.multisection(period, s) for s in shifts}
+    diagonal = TruncatedSeries.one(order) + pieces[0]
+    rows = [
+        [diagonal if r == q else pieces[shift_distance(r, q, period)] for q in residues]
+        for r in residues
+    ]
+    grading = (period, residues)
+    return SeriesMatrix(rows, grading), [escaping] * restriction.size
 
 
 def solve_linear_system(
@@ -127,27 +197,22 @@ def solve_linear_system(
     Every pivot must be a unit (nonzero constant term); for the systems built
     here the diagonal keeps constant term 1 throughout elimination.
     """
-    n = matrix.n
+    n, order = matrix.n, matrix.order
     if len(rhs) != n:
         raise ValueError("right-hand side length does not match the matrix")
-    rows = [list(row) for row in matrix.rows]
-    vec = list(rhs)
-    for i in range(n):
-        pivot = rows[i][i]
-        if pivot.constant_term == 0:
-            raise ArithmeticError("singular system: pivot without constant term")
-        inv = pivot.inverse()
-        for j in range(i + 1, n):
-            factor = rows[j][i] * inv
-            rows[j] = [rows[j][m] - factor * rows[i][m] for m in range(n)]
-            vec[j] = vec[j] - factor * vec[i]
-    out: list[TruncatedSeries | None] = [None] * n
+    if any(series.order != order for series in rhs):
+        raise ValueError("right-hand side order does not match the matrix")
+    rows, inverses, vec = _eliminate(matrix, rhs)
+    period, labels = matrix.grading
+    out: list[list | None] = [None] * n
     for i in reversed(range(n)):
         acc = vec[i]
         for m in range(i + 1, n):
-            acc = acc - rows[i][m] * out[m]
-        out[i] = acc * rows[i][i].inverse()
-    return out
+            shift = (labels[m] - labels[i]) % period
+            product = _dense_product(shift, rows[i][m], out[m], period)
+            acc = [x - y for x, y in zip(acc, product)]
+        out[i] = _dense_product(0, inverses[i], acc, period)
+    return [TruncatedSeries(coeffs) for coeffs in out]
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,17 +236,40 @@ def check_walk_series(residue: int, series: TruncatedSeries) -> None:
             )
 
 
-@lru_cache(maxsize=None)
+_solutions: OrderedDict = OrderedDict()
+
+
 def _solution_tuple(dim: int, restriction: PeriodicSet, order: int):
+    """Solved series per admissible residue, through a bounded LRU cache.
+
+    The cache keeps the highest order solved per ``(dim, restriction)`` and
+    answers a lower order by truncation, which is exact because every series
+    operation is causal.
+    """
+    # Checked here because a cached prefix would accept a negative slice.
+    if order < 1:
+        raise ValueError("truncation order must be positive")
+    key = (dim, restriction)
+    cached = _solutions.get(key)
+    if cached is not None and cached[0].order >= order:
+        _solutions.move_to_end(key)
+        if cached[0].order == order:
+            return cached
+        return tuple(TruncatedSeries(s.coeffs[:order]) for s in cached)
     matrix, rhs = build_system(dim, restriction, order)
     solution = solve_linear_system(matrix, rhs)
     for residue, series in zip(restriction.residues, solution):
         check_walk_series(residue, series)
-    return tuple(solution)
+    _solutions[key] = solved = tuple(solution)
+    _solutions.move_to_end(key)
+    if len(_solutions) > SOLUTION_CACHE_SIZE:
+        _solutions.popitem(last=False)
+    return solved
 
 
 def solve_restricted(dim: int, restriction: PeriodicSet, order: int) -> RestrictedPathSolution:
-    """Solve the system once per (dim, restriction, order); results are cached."""
+    """Solve the system once per (dim, restriction); lower orders are served
+    from the cached prefix."""
     solved = _solution_tuple(dim, restriction, order)
     return RestrictedPathSolution(
         restriction, dim, dict(zip(restriction.residues, solved))

@@ -2,11 +2,15 @@
 
 Everything here is computed by a different route than the library code it
 checks: closed-form binomials, the binomial series for square roots, and a
-step-by-step polygon walk for cyclic distances.
+step-by-step polygon walk for cyclic distances.  The matrix helpers
+build identity matrices and matrix products entry by entry.
 """
 
 from fractions import Fraction
 from math import comb
+
+from lattice_gf.series import TruncatedSeries
+from lattice_gf.system import SeriesMatrix
 
 
 def catalan(n: int) -> int:
@@ -36,3 +40,25 @@ def polygon_distance(start: int, target: int, period: int) -> int:
         vertex = (vertex + 1) % period
         steps += 1
     return steps
+
+
+def identity_matrix(n: int, order: int) -> SeriesMatrix:
+    one = TruncatedSeries.one(order)
+    zero = TruncatedSeries.zero(order)
+    return SeriesMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def matmul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
+    """Matrix product over the series ring, by the schoolbook formula."""
+    if a.n != b.n or a.order != b.order:
+        raise ValueError("matrix sizes or orders do not match")
+    rows = []
+    for i in range(a.n):
+        row = []
+        for j in range(a.n):
+            acc = TruncatedSeries.zero(a.order)
+            for m in range(a.n):
+                acc = acc + a.entry(i, m) * b.entry(m, j)
+            row.append(acc)
+        rows.append(row)
+    return SeriesMatrix(rows)

@@ -20,9 +20,15 @@ from lattice_gf.periodic import PeriodicSet
 from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import SeriesMatrix, build_system
 
+from helpers import identity_matrix, matmul
+
 
 def series(values):
     return TruncatedSeries([Fraction(v) for v in values])
+
+
+# (dim, n) pairs for the cross-checks of the circulant constructions.
+CIRCULANT_SIZES = [(dim, n) for dim in (1, 2, 3) for n in (1, 2, 4, 5, 8)]
 
 
 class TestCirculantShape:
@@ -74,6 +80,16 @@ class TestFirstRows:
             total = total + circ.first_row[j]
         assert total == LoopModel(dim=2, order=8).loop_gf().inverse()
 
+    @pytest.mark.parametrize("dim, n", CIRCULANT_SIZES)
+    def test_row_matches_reciprocal_loop_series(self, dim, n):
+        # Second construction of the restriction row: the multisections of
+        # the reciprocal loop series.
+        order = 12
+        reciprocal = LoopModel(dim=dim, order=order).loop_gf().inverse()
+        circ = restriction_circulant(dim, n, order)
+        assert list(circ.first_row) == [
+            reciprocal.multisection(n, j) for j in range(n)]
+
     def test_matches_system_matrix_on_residues(self):
         # The restriction system matrix is the principal submatrix of the
         # circulant on the admissible residues.
@@ -95,7 +111,7 @@ class TestRowRelation:
 
 class TestDeterminant:
     def test_identity(self):
-        assert series_determinant(SeriesMatrix.identity(3, 5)) == (
+        assert series_determinant(identity_matrix(3, 5)) == (
             TruncatedSeries.one(5))
 
     def test_one_by_one(self):
@@ -127,6 +143,27 @@ class TestQuarter:
         assert left.rows == ((row[0], row[1]), (row[3], row[0]))
         assert right.rows == ((row[2], row[3]), (row[1], row[2]))
 
+    @pytest.mark.parametrize("dim, n", [(d, n) for d, n in CIRCULANT_SIZES if n % 2 == 0])
+    def test_lower_band_repeats_upper(self, dim, n):
+        k = n // 2
+        for circ in (restriction_circulant(dim, n, 10), escaping_circulant(dim, n, 10)):
+            for i in range(k):
+                for j in range(k):
+                    assert circ.entry(k + i, j) == circ.entry(i, k + j)
+                    assert circ.entry(k + i, k + j) == circ.entry(i, j)
+
+    def test_gradings(self):
+        circ = restriction_circulant(1, 6, 10)
+        assert circ.grading == (6, (0, 1, 2, 3, 4, 5))
+        assert circ.to_matrix().grading == (6, (0, 1, 2, 3, 4, 5))
+        assert quarter(circ, "left").grading == (6, (0, 1, 2))
+        # The right quarter's diagonal lies in class k, so it stays trivial.
+        assert quarter(circ, "right").grading == (1, (0, 0, 0))
+        # A first row off its classes keeps the trivial grading.
+        plain = Circulant([series([v, 1]) for v in (10, 11, 12, 13)])
+        assert plain.grading == (1, (0, 0, 0, 0))
+        assert quarter(plain, "left").grading == (1, (0, 0))
+
     def test_odd_size_rejected(self):
         circ = Circulant([series([1]), series([0]), series([0])])
         with pytest.raises(ValueError):
@@ -136,6 +173,23 @@ class TestQuarter:
         circ = Circulant([series([1]), series([0])])
         with pytest.raises(ValueError):
             quarter(circ, "middle")
+
+
+class TestGradedDeterminant:
+    @pytest.mark.parametrize("dim, k", [(1, 1), (1, 2), (1, 4), (2, 2), (2, 3), (3, 2)])
+    def test_matches_trivial_grading(self, dim, k):
+        order = 17
+        for circ in (restriction_circulant(dim, 2 * k, order),
+                     escaping_circulant(dim, 2 * k, order)):
+            for matrix in (quarter(circ, "left"), circ.to_matrix()):
+                assert matrix.grading[0] == 2 * k
+                dense = SeriesMatrix(matrix.rows)
+                assert series_determinant(matrix) == series_determinant(dense)
+
+    def test_restriction_system_determinant(self):
+        matrix, _ = build_system(2, PeriodicSet((0, 1, 3, 4), 7), 15)
+        assert series_determinant(matrix) == series_determinant(
+            SeriesMatrix(matrix.rows))
 
 
 class TestDeterminantChain:
@@ -157,4 +211,4 @@ class TestDeterminantChain:
         for n in (2, 4, 6):
             b = escaping_circulant(1, n, 10).to_matrix()
             c = restriction_circulant(1, n, 10).to_matrix()
-            assert (b @ c) == SeriesMatrix.identity(n, 10)
+            assert matmul(b, c) == identity_matrix(n, 10)

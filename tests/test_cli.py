@@ -208,6 +208,15 @@ class TestOracleCommand:
             capsys, "oracle", "--dim", "1", "--order", "3", "--kind", "loops")
         assert code == 2
 
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_env_budget_must_be_positive(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("LATTICE_GF_MAX_CELLS", budget)
+        code, out, err = run_cli(
+            capsys, "oracle", "--dim", "1", "--order", "3", "--kind", "loops")
+        assert code == 2
+        assert out == ""
+        assert "LATTICE_GF_MAX_CELLS must be positive" in err
+
 
 class TestCompareCommand:
     def test_passing_comparison(self, capsys):
@@ -260,6 +269,17 @@ class TestVerifyCommands:
             "--order", "10")
         assert code == 0
         assert "dim=1 k=1 determinant chain PASS" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-hn", "--k-max", "0"),
+        ("verify-hn", "--k-max", "-2"),
+        ("verify-circulant", "--dim", "1", "--k-max", "0"),
+    ])
+    def test_k_max_below_one_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--k-max must be at least 1" in err
 
 
 class TestModuleEntryPoint:

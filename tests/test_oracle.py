@@ -1,9 +1,12 @@
 """Tests for the brute-force dynamic-programming path enumerator."""
 
+import subprocess
+import sys
 from math import comb
 
 import pytest
 
+from lattice_gf import oracle
 from lattice_gf.errors import ResourceLimitError
 from lattice_gf.oracle import (
     count_escaping,
@@ -131,3 +134,43 @@ class TestResourceBudget:
             count_loops(0, max_half_len=2)
         with pytest.raises(ValueError):
             count_loops(1, max_half_len=-1)
+
+
+# A step that also drops a walk on the centre cell, so the origin is
+# occupied after odd steps.  Kept as source so the same breakage runs in a
+# ``python -O`` subprocess.
+BROKEN_ADVANCE = """
+import lattice_gf.oracle as oracle
+_real_advance = oracle._advance
+
+def _broken_advance(arr):
+    out = _real_advance(arr)
+    out[tuple(side // 2 for side in out.shape)] += 1
+    return out
+"""
+
+
+class TestParityCheck:
+    def test_broken_step_raises(self, monkeypatch):
+        namespace = {}
+        exec(BROKEN_ADVANCE, namespace)
+        monkeypatch.setattr(oracle, "_advance", namespace["_broken_advance"])
+        with pytest.raises(ArithmeticError, match="odd step 1: count 1"):
+            count_loops(2, max_half_len=2)
+
+    def test_broken_step_raises_under_optimize(self):
+        code = BROKEN_ADVANCE + """
+oracle._advance = _broken_advance
+from lattice_gf.periodic import PeriodicSet
+assert False, "asserts must be stripped under -O"
+try:
+    oracle.count_restricted(1, PeriodicSet((0,), 2), 3)
+except ArithmeticError as exc:
+    print(exc)
+else:
+    raise SystemExit("no ArithmeticError under -O")
+"""
+        result = subprocess.run([sys.executable, "-O", "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "odd step 1: count 1" in result.stdout

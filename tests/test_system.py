@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lattice_gf import system
 from lattice_gf.loops import LoopModel
 from lattice_gf.oracle import count_restricted
 from lattice_gf.periodic import PeriodicSet, hajnal_nagy_set, shift_distance
@@ -19,6 +22,8 @@ from lattice_gf.system import (
     solve_restricted,
 )
 
+from helpers import identity_matrix
+
 
 def gf_counts(dim, restriction, order):
     gf = restricted_path_gf(dim, restriction, 0, order)
@@ -28,6 +33,22 @@ def gf_counts(dim, restriction, order):
 def dp_counts(dim, restriction, order):
     table = count_restricted(dim, restriction, max_half_len=order - 1)
     return tuple(Fraction(c) for c in table.counts)
+
+
+def first_difference(got, want):
+    """First (residue, index, got, want) where two series tables differ."""
+    for residue in got:
+        for index, (a, b) in enumerate(zip(got[residue], want[residue])):
+            if a != b:
+                return residue, index, a, b
+    return None
+
+
+@st.composite
+def periodic_set_st(draw, max_period=8):
+    period = draw(st.integers(min_value=1, max_value=max_period))
+    others = draw(st.sets(st.integers(min_value=1, max_value=max(1, period - 1))))
+    return PeriodicSet((0,) + tuple(sorted(r for r in others if r < period)), period)
 
 
 class TestSystemAssembly:
@@ -69,9 +90,27 @@ class TestSystemAssembly:
 
     def test_identity_solve(self):
         order = 5
-        identity = SeriesMatrix.identity(3, order)
+        identity = identity_matrix(3, order)
         rhs = [TruncatedSeries.monomial(j + 1, j, order) for j in range(3)]
         assert solve_linear_system(identity, rhs) == rhs
+
+    def test_declared_grading_recorded(self):
+        restriction = PeriodicSet((0, 2, 3), 5)
+        matrix, _ = build_system(1, restriction, 12)
+        assert matrix.grading == (5, (0, 2, 3))
+        assert SeriesMatrix(matrix.rows).grading == (1, (0, 0, 0))
+
+    def test_off_class_entry_rejected(self):
+        # Entry (0, 1) of a (2, (0, 1)) grading must live on odd exponents.
+        order = 4
+        one = TruncatedSeries.one(order)
+        odd = TruncatedSeries.monomial(3, 1, order)
+        even = TruncatedSeries.monomial(3, 2, order)
+        SeriesMatrix([[one, odd], [odd, one]], (2, (0, 1)))
+        with pytest.raises(ValueError, match=r"entry \(0, 1\).*class 1 mod 2"):
+            SeriesMatrix([[one, even], [odd, one]], (2, (0, 1)))
+        with pytest.raises(ValueError):
+            SeriesMatrix([[one, odd], [odd, one]], (2, (0,)))
 
     def test_singular_system_rejected(self):
         order = 4
@@ -80,6 +119,89 @@ class TestSystemAssembly:
         matrix = SeriesMatrix([[t, zero], [zero, t]])
         with pytest.raises(ArithmeticError):
             solve_linear_system(matrix, [zero, zero])
+
+
+class TestGradedSolve:
+    @given(st.integers(min_value=1, max_value=2), periodic_set_st(),
+           st.integers(min_value=1, max_value=30))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_trivial_grading_and_oracle(self, dim, restriction, order):
+        matrix, rhs = build_system(dim, restriction, order)
+        assert matrix.grading == (restriction.period, restriction.residues)
+        graded = dict(zip(restriction.residues,
+                          (s.coeffs for s in solve_linear_system(matrix, rhs))))
+        dense = dict(zip(restriction.residues, (
+            s.coeffs for s in solve_linear_system(SeriesMatrix(matrix.rows), rhs))))
+        assert first_difference(graded, dense) is None, first_difference(graded, dense)
+        # The oracle prefix is kept short in two dimensions: its grid grows
+        # quadratically with the half-length there.
+        half_len = min(order - 1, 29 if dim == 1 else 10)
+        shown = {0: graded[0][: half_len + 1]}
+        oracle = {0: tuple(count_restricted(dim, restriction, half_len).counts)}
+        assert first_difference(shown, oracle) is None, first_difference(shown, oracle)
+
+    def test_grading_survives_dense_elimination(self):
+        # Eliminating under the trivial grading keeps every entry (a, b) of
+        # the triangular form on class res_b - res_a, which is what lets the
+        # kernel store class slices only.
+        for dim, restriction in ((1, PeriodicSet((0, 2, 3), 5)),
+                                 (2, hajnal_nagy_set(3))):
+            matrix, _ = build_system(dim, restriction, 20)
+            rows, _, _ = system._eliminate(SeriesMatrix(matrix.rows))
+            res, period = restriction.residues, restriction.period
+            for a in range(len(res)):
+                for b in range(a, len(res)):
+                    cls = (res[b] - res[a]) % period
+                    assert TruncatedSeries(rows[a][b]).is_multisection(period, cls)
+
+
+class TestSolutionCache:
+    def test_lower_order_served_from_prefix(self, monkeypatch):
+        restriction = PeriodicSet((0, 1, 3), 7)
+        system._solutions.clear()
+        solve_restricted(2, restriction, 24)
+        builds = []
+        original = system.build_system
+
+        def counting_build(*args):
+            builds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(system, "build_system", counting_build)
+        half = solve_restricted(2, restriction, 12)
+        assert builds == []
+        system._solutions.clear()
+        cold = solve_restricted(2, restriction, 12)
+        assert len(builds) == 1
+        assert half.series == cold.series
+        assert all(s.order == 12 for s in half.series.values())
+
+    def test_higher_order_replaces_entry(self):
+        restriction = PeriodicSet((0, 2), 5)
+        system._solutions.clear()
+        solve_restricted(1, restriction, 6)
+        solve_restricted(1, restriction, 14)
+        assert len(system._solutions) == 1
+        (solved,) = system._solutions.values()
+        assert solved[0].order == 14
+
+    def test_bounded(self):
+        system._solutions.clear()
+        for period in range(1, system.SOLUTION_CACHE_SIZE + 6):
+            solve_restricted(1, PeriodicSet((0,), period), 3)
+            assert len(system._solutions) <= system.SOLUTION_CACHE_SIZE
+        assert len(system._solutions) == system.SOLUTION_CACHE_SIZE
+        # The least recently used entries went first.
+        assert (1, PeriodicSet((0,), 1)) not in system._solutions
+        assert (1, PeriodicSet((0,), system.SOLUTION_CACHE_SIZE + 5)) in system._solutions
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_nonpositive_order_rejected_after_a_cached_solve(self, order):
+        restriction = PeriodicSet((0,), 2)
+        system._solutions.clear()
+        solve_restricted(1, restriction, 10)
+        with pytest.raises(ValueError, match="truncation order must be positive"):
+            solve_restricted(1, restriction, order)
 
 
 class TestRestrictedGf:
