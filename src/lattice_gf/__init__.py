@@ -23,7 +23,6 @@ from .oracle import (
     count_odd_length,
     count_restricted,
     count_simple_loops,
-    odd_length_count,
 )
 from .periodic import PeriodicSet, hajnal_nagy_set, shift_distance
 from .series import TruncatedSeries, inv_sqrt_one_minus_monomial
@@ -62,7 +61,6 @@ __all__ = [
     "hn_determinant_check",
     "inv_sqrt_one_minus_monomial",
     "loop_count",
-    "odd_length_count",
     "period_two_closed_form",
     "quarter",
     "reduction_check",

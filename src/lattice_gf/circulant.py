@@ -69,19 +69,13 @@ class Circulant:
 def restriction_circulant(dim: int, n: int, order: int) -> Circulant:
     """Circulant whose principal submatrices are restriction system matrices.
 
-    The first row splits one minus the simple-loop series into its ``n``
-    multisections, which are also the multisections of the reciprocal loop
-    series.
+    The first row splits the reciprocal loop series, which is one minus the
+    simple-loop series, into its ``n`` multisections.
     """
     if n < 1:
         raise ValueError("circulant size must be positive")
-    model = LoopModel(dim, order)
-    excursions = model.primitive_excursion_gf()
-    one = TruncatedSeries.one(order)
-    return Circulant(
-        [one - excursions.multisection(n, 0)]
-        + [-excursions.multisection(n, j) for j in range(1, n)]
-    )
+    reciprocal = LoopModel(dim, order).reciprocal_loop_gf()
+    return Circulant([reciprocal.multisection(n, j) for j in range(n)])
 
 
 def escaping_circulant(dim: int, n: int, order: int) -> Circulant:

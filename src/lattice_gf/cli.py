@@ -76,8 +76,11 @@ def _write(text: str, out: str) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out!r}: {exc.strerror}") from None
 
 
 def _emit_series(document: dict, series: TruncatedSeries, args) -> None:

@@ -3,20 +3,27 @@
 A loop is a walk that starts and ends at the origin; it is simple when no
 nonempty proper prefix returns there.  Every coordinate of a step is +-1, so
 a length-``2k`` loop is a product of ``d`` independent one-dimensional loops
-and there are ``comb(2k, k)**d`` of them.  Simple loops follow from the
-renewal identity
+and there are ``comb(2k, k)**d`` of them.
 
-    loops = loops * simple_loops + 1,
+Everything else comes from one series, the reciprocal ``M = 1/loops``, which
+is the only series inverted here.  Simple loops follow from the renewal
+identity ``loops = loops * simple_loops + 1``, so
+
+    simple_loops = 1 - M,
 
 and walks that never revisit the origin after the start (escaping walks)
 come from dividing the loop series out of the unrestricted walk count.
 There are ``2**d`` steps, hence ``4**d`` walks per unit of ``t`` (two
 lattice steps), so
 
-    escaping = 1 / (loops * (1 - 4**d t)).
+    escaping = M / (1 - 4**d t),
 
-For one and two dimensions ``4**d`` coincides with ``(2d)**2``, the form in
-which the factor is usually quoted.
+the running sum ``escaping[k] = 4**d * escaping[k-1] + M[k]``.  For one and
+two dimensions ``4**d`` coincides with ``(2d)**2``, the form in which the
+factor is usually quoted.
+
+A ``LoopModel`` inverts ``M`` at most once and keeps it, so the simple-loop
+and escaping series of one model share a single inversion.
 
 Both derived series feed the restricted-walk linear system: between two
 consecutive visits of the space origin a walk is exactly a simple loop, and
@@ -26,6 +33,7 @@ after the last visit it is escaping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .errors import ResourceLimitError
@@ -66,14 +74,32 @@ class LoopModel:
 
     def loop_gf(self) -> TruncatedSeries:
         """Series whose coefficient at ``t**k`` counts length-``2k`` loops."""
-        return TruncatedSeries(loop_count(self.dim, k) for k in range(self.order))
+        coeffs = [1] * self.order
+        central = 1
+        for k in range(1, self.order):
+            # comb(2k, k) = comb(2k - 2, k - 1) * 2 (2k - 1) / k, exactly.
+            central = central * 2 * (2 * k - 1) // k
+            coeffs[k] = central**self.dim
+        return TruncatedSeries(coeffs)
+
+    def reciprocal_loop_gf(self) -> TruncatedSeries:
+        """``1 / loop_gf``, inverted on first use and kept on the model."""
+        return self._reciprocal
+
+    @cached_property
+    def _reciprocal(self) -> TruncatedSeries:
+        return self.loop_gf().inverse()
 
     def primitive_excursion_gf(self) -> TruncatedSeries:
         """Series counting simple loops, ``1 - 1/loop_gf``."""
-        return TruncatedSeries.one(self.order) - self.loop_gf().inverse()
+        return TruncatedSeries.one(self.order) - self.reciprocal_loop_gf()
 
     def escaping_gf(self) -> TruncatedSeries:
         """Series counting walks that never return to the space origin."""
-        steps = TruncatedSeries.monomial(4**self.dim, 1, self.order)
-        denom = self.loop_gf() * (TruncatedSeries.one(self.order) - steps)
-        return denom.inverse()
+        weight = 4**self.dim
+        out = []
+        acc = 0
+        for c in self.reciprocal_loop_gf().coeffs:
+            acc = acc * weight + c
+            out.append(acc)
+        return TruncatedSeries(out)

@@ -179,12 +179,3 @@ def count_odd_length(
     )
     return PathCountTable(dim, restriction, tuple(odd))
 
-
-def odd_length_count(
-    dim: int,
-    restriction: PeriodicSet,
-    half_len: int,
-    max_cells: Optional[int] = None,
-) -> int:
-    """Number of restricted walks of length ``2 * half_len + 1``."""
-    return count_odd_length(dim, restriction, half_len, max_cells).counts[half_len]

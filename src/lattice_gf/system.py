@@ -11,8 +11,11 @@ for every admissible residue ``r``, the equation
     P_r - sum_q  multisection(E, period, shift(r, q)) * P_q  =  E_inf,
 
 with ``E`` the simple-loop series, ``E_inf`` the escaping series and the sum
-over admissible residues ``q``.  At ``t = 0`` the matrix is the identity, so
-Gaussian elimination without pivot search solves it exactly.
+over admissible residues ``q``.  By the renewal identity ``1 - E`` is the
+reciprocal loop series ``1/L``, and the constant 1 lies in class 0, so entry
+``(r, q)`` of the matrix is ``multisection(1/L, period, shift(r, q))``,
+the diagonal included.  At ``t = 0`` the matrix is the identity, so Gaussian
+elimination without pivot search solves it exactly.
 
 Entry ``(r, q)`` is supported on the single residue class ``shift(r, q)``
 mod the period, so it is ``t**c`` times a series in ``u = t**period``.  A
@@ -168,25 +171,21 @@ def build_system(dim: int, restriction: PeriodicSet, order: int):
     """The coefficient matrix and right-hand side of the return decomposition.
 
     Rows and columns follow ``restriction.residues``, which also grade the
-    matrix with ``restriction.period``.  An entry depends only on its class,
-    so each class is built once.  Diagonal entries have constant term 1 and
+    matrix with ``restriction.period``.  Entry ``(r, q)`` is the
+    ``shift(r, q)`` multisection of the reciprocal loop series, so each
+    distinct class is built once.  Diagonal entries have constant term 1 and
     off-diagonal entries constant term 0, which is what lets the solver skip
     pivot search.
     """
     model = LoopModel(dim, order)
-    excursions = model.primitive_excursion_gf()
-    escaping = model.escaping_gf()
+    reciprocal = model.reciprocal_loop_gf()
     period = restriction.period
     residues = restriction.residues
     shifts = {shift_distance(r, q, period) for r in residues for q in residues}
-    pieces = {s: -excursions.multisection(period, s) for s in shifts}
-    diagonal = TruncatedSeries.one(order) + pieces[0]
-    rows = [
-        [diagonal if r == q else pieces[shift_distance(r, q, period)] for q in residues]
-        for r in residues
-    ]
+    pieces = {s: reciprocal.multisection(period, s) for s in shifts}
+    rows = [[pieces[shift_distance(r, q, period)] for q in residues] for r in residues]
     grading = (period, residues)
-    return SeriesMatrix(rows, grading), [escaping] * restriction.size
+    return SeriesMatrix(rows, grading), [model.escaping_gf()] * restriction.size
 
 
 def solve_linear_system(
@@ -312,8 +311,7 @@ def reduction_check(
     if not 0 <= slot < period:
         raise ValueError(f"slot {slot} outside [0, {period})")
     solution = solve_restricted(dim, restriction, order)
-    matrix, _ = build_system(dim, restriction, order)
-    escaping = LoopModel(dim, order).escaping_gf()
+    matrix, escaping_rhs = build_system(dim, restriction, order)
     slots = [
         (shift_distance(r, anchor_reduced, period) + slot) % period
         for r in restriction.residues
@@ -322,7 +320,7 @@ def reduction_check(
         solution.series[r].multisection(period, l)
         for r, l in zip(restriction.residues, slots)
     ]
-    rhs = [escaping.multisection(period, l) for l in slots]
+    rhs = [series.multisection(period, l) for series, l in zip(escaping_rhs, slots)]
     return matrix.mul_vec(vec) == rhs
 
 
@@ -331,10 +329,9 @@ def period_two_closed_form(dim: int, order: int) -> TruncatedSeries:
 
     With a single admissible residue the system is one equation, so the even
     part of the solution is the even part of the escaping series divided by
-    one minus the even part of the simple-loop series.
+    one minus the even part of the simple-loop series, which is the even part
+    of the reciprocal loop series.
     """
     model = LoopModel(dim, order)
-    excursions_even = model.primitive_excursion_gf().multisection(2, 0)
     escaping_even = model.escaping_gf().multisection(2, 0)
-    denom = TruncatedSeries.one(order) - excursions_even
-    return escaping_even * denom.inverse()
+    return escaping_even * model.reciprocal_loop_gf().multisection(2, 0).inverse()

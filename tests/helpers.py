@@ -3,12 +3,15 @@
 Everything here is computed by a different route than the library code it
 checks: closed-form binomials, the binomial series for square roots, and a
 step-by-step polygon walk for cyclic distances.  The matrix helpers
-build identity matrices and matrix products entry by entry.
+build identity matrices and matrix products entry by entry, and
+``odd_length_count`` reads one value off an oracle table.
 """
 
 from fractions import Fraction
 from math import comb
 
+from lattice_gf.oracle import count_odd_length
+from lattice_gf.periodic import PeriodicSet
 from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import SeriesMatrix
 
@@ -62,3 +65,10 @@ def matmul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
             row.append(acc)
         rows.append(row)
     return SeriesMatrix(rows)
+
+
+def odd_length_count(
+    dim: int, restriction: PeriodicSet, half_len: int, max_cells: int | None = None
+) -> int:
+    """Number of restricted walks of length ``2 * half_len + 1``."""
+    return count_odd_length(dim, restriction, half_len, max_cells).counts[half_len]

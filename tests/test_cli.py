@@ -282,6 +282,28 @@ class TestVerifyCommands:
         assert "--k-max must be at least 1" in err
 
 
+class TestUnwritableOut:
+    COMMANDS = {
+        "gf": ("gf", "--dim", "1", "--residues", "0", "--period", "2",
+               "--order", "4"),
+        "oracle": ("oracle", "--dim", "1", "--kind", "loops", "--order", "4"),
+        "compare": ("compare", "--dim", "1", "--residues", "0", "--period",
+                    "2", "--order", "4"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("target", ["missing-dir/x.json", "."])
+    def test_exit_2_without_traceback(self, tmp_path, capsys, command, target):
+        out_path = tmp_path / target
+        code, out, err = run_cli(
+            capsys, *self.COMMANDS[command], "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {str(out_path)!r}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "missing-dir").exists()
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         result = subprocess.run(

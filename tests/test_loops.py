@@ -95,3 +95,38 @@ class TestLoopModel:
             LoopModel(dim=0, order=4)
         with pytest.raises(ValueError):
             LoopModel(dim=1, order=0)
+
+
+class TestReciprocalLayer:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_series_match_their_definitions(self, dim):
+        order = 60
+        model = LoopModel(dim=dim, order=order)
+        loop_gf = model.loop_gf()
+        assert loop_gf.coeffs == tuple(loop_count(dim, k) for k in range(order))
+        assert model.reciprocal_loop_gf() == loop_gf.inverse()
+        # The escaping series by its defining division, 1 / (L (1 - 4^d t)).
+        drift = TruncatedSeries.one(order) - TruncatedSeries.monomial(4 ** dim, 1, order)
+        assert model.escaping_gf() == (loop_gf * drift).inverse()
+        for gf in (loop_gf, model.reciprocal_loop_gf(), model.escaping_gf()):
+            assert all(type(c) is int for c in gf.coeffs)
+
+
+class TestReciprocalMemo:
+    def test_one_inversion_per_model(self, monkeypatch):
+        inversions = []
+        original = TruncatedSeries.inverse
+
+        def counting_inverse(series):
+            inversions.append(series.order)
+            return original(series)
+
+        monkeypatch.setattr(TruncatedSeries, "inverse", counting_inverse)
+        model = LoopModel(dim=2, order=15)
+        model.primitive_excursion_gf()
+        model.escaping_gf()
+        assert model.reciprocal_loop_gf() == original(model.loop_gf())
+        assert inversions == [15]
+        # Nothing is shared between models: a new one inverts afresh.
+        LoopModel(dim=2, order=15).escaping_gf()
+        assert inversions == [15, 15]

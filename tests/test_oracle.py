@@ -14,9 +14,10 @@ from lattice_gf.oracle import (
     count_odd_length,
     count_restricted,
     count_simple_loops,
-    odd_length_count,
 )
 from lattice_gf.periodic import PeriodicSet, hajnal_nagy_set
+
+from helpers import odd_length_count
 
 
 class TestLoops:

@@ -68,6 +68,30 @@ class TestSystemAssembly:
         escaping = LoopModel(dim=dim, order=order).escaping_gf()
         assert rhs == [escaping, escaping]
 
+    @pytest.mark.parametrize("dim, restriction", [
+        (1, hajnal_nagy_set(2)),
+        (2, PeriodicSet.full(3)),
+        (3, PeriodicSet((0, 2, 3), 5)),
+    ])
+    def test_entries_are_reciprocal_multisections(self, dim, restriction):
+        # 1 - E is the reciprocal loop series, and the identity's constant 1
+        # lies in class 0, so every entry, the diagonal included, is one
+        # multisection of 1/L.
+        order = 14
+        matrix, _ = build_system(dim, restriction, order)
+        model = LoopModel(dim=dim, order=order)
+        reciprocal = model.loop_gf().inverse()
+        excursions = model.primitive_excursion_gf()
+        one = TruncatedSeries.one(order)
+        period, residues = restriction.period, restriction.residues
+        for i, r in enumerate(residues):
+            for j, q in enumerate(residues):
+                shift = shift_distance(r, q, period)
+                identity = one if i == j else TruncatedSeries.zero(order)
+                assert matrix.entry(i, j) == reciprocal.multisection(period, shift)
+                assert matrix.entry(i, j) == identity - excursions.multisection(
+                    period, shift)
+
     def test_full_set_rows_sum_to_renewal_complement(self):
         # Summing a row over all residues reassembles 1 - SL.
         dim, order = 2, 8
@@ -122,10 +146,12 @@ class TestSystemAssembly:
 
 
 class TestGradedSolve:
-    @given(st.integers(min_value=1, max_value=2), periodic_set_st(),
+    @given(st.integers(min_value=1, max_value=3), periodic_set_st(),
            st.integers(min_value=1, max_value=30))
     @settings(max_examples=40, deadline=None)
     def test_matches_trivial_grading_and_oracle(self, dim, restriction, order):
+        if dim == 3:
+            order = min(order, 16)
         matrix, rhs = build_system(dim, restriction, order)
         assert matrix.grading == (restriction.period, restriction.residues)
         graded = dict(zip(restriction.residues,
@@ -133,9 +159,9 @@ class TestGradedSolve:
         dense = dict(zip(restriction.residues, (
             s.coeffs for s in solve_linear_system(SeriesMatrix(matrix.rows), rhs))))
         assert first_difference(graded, dense) is None, first_difference(graded, dense)
-        # The oracle prefix is kept short in two dimensions: its grid grows
-        # quadratically with the half-length there.
-        half_len = min(order - 1, 29 if dim == 1 else 10)
+        # The oracle prefix is kept short in two and three dimensions: its
+        # grid of (4 * half_len + 3) ** dim cells grows fast there.
+        half_len = min(order - 1, {1: 29, 2: 10, 3: 5}[dim])
         shown = {0: graded[0][: half_len + 1]}
         oracle = {0: tuple(count_restricted(dim, restriction, half_len).counts)}
         assert first_difference(shown, oracle) is None, first_difference(shown, oracle)
