@@ -119,26 +119,14 @@ def series_determinant(matrix: SeriesMatrix) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def quarter(circ: Circulant, which: str) -> SeriesMatrix:
-    """Upper-left ("left") or upper-right ("right") quarter of an even circulant.
-
-    The left quarter keeps the circulant's grading.  The right one has the
-    trivial grading: its diagonal lies in class ``k``, not 0.
-    """
+def quarter(circ: Circulant) -> SeriesMatrix:
+    """Upper-left quarter of an even circulant, with the circulant's grading."""
     if circ.n % 2 != 0:
         raise ValueError("quarter split needs an even circulant size")
     k = circ.n // 2
-    if which == "left":
-        col0 = 0
-        period, labels = circ.grading
-        grading = (period, labels[:k])
-    elif which == "right":
-        col0 = k
-        grading = None
-    else:
-        raise ValueError("which must be 'left' or 'right'")
+    period, labels = circ.grading
     return SeriesMatrix(
-        [[circ.entry(i, col0 + j) for j in range(k)] for i in range(k)], grading
+        [[circ.entry(i, j) for j in range(k)] for i in range(k)], (period, labels[:k])
     )
 
 
@@ -149,8 +137,8 @@ def column_substitution_check(dim: int, k: int, order: int) -> bool:
     Column operations using the entry-wise row relation turn the substituted
     matrix into the escaping quarter without changing the determinant.
     """
-    left_restriction = quarter(restriction_circulant(dim, 2 * k, order), "left")
-    left_escaping = quarter(escaping_circulant(dim, 2 * k, order), "left")
+    left_restriction = quarter(restriction_circulant(dim, 2 * k, order))
+    left_escaping = quarter(escaping_circulant(dim, 2 * k, order))
     substituted = SeriesMatrix(
         [
             [
@@ -171,10 +159,10 @@ def cramer_ratio_check(dim: int, k: int, order: int) -> bool:
         2 * k, 0
     )
     det_restriction = series_determinant(
-        quarter(restriction_circulant(dim, 2 * k, order), "left")
+        quarter(restriction_circulant(dim, 2 * k, order))
     )
     det_escaping = series_determinant(
-        quarter(escaping_circulant(dim, 2 * k, order), "left")
+        quarter(escaping_circulant(dim, 2 * k, order))
     )
     return det_escaping == target * det_restriction
 
@@ -189,9 +177,9 @@ def hn_determinant_check(k: int, order: int) -> bool:
     """
     full = restriction_circulant(1, 2 * k, order)
     det_full = series_determinant(full.to_matrix())
-    det_restriction = series_determinant(quarter(full, "left"))
+    det_restriction = series_determinant(quarter(full))
     det_escaping = series_determinant(
-        quarter(escaping_circulant(1, 2 * k, order), "left")
+        quarter(escaping_circulant(1, 2 * k, order))
     )
     block_identity = det_escaping * det_full == det_restriction
     closed_form = (

@@ -21,8 +21,8 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
+from . import oracle
 from .circulant import (
     column_substitution_check,
     cramer_ratio_check,
@@ -30,13 +30,6 @@ from .circulant import (
     row_relation_check,
 )
 from .errors import ResourceLimitError
-from .oracle import (
-    count_escaping,
-    count_loops,
-    count_odd_length,
-    count_restricted,
-    count_simple_loops,
-)
 from .periodic import PeriodicSet, hajnal_nagy_set
 from .series import TruncatedSeries, inv_sqrt_one_minus_monomial
 from .system import restricted_path_gf
@@ -44,51 +37,44 @@ from .system import restricted_path_gf
 MAX_CELLS_ENV = "LATTICE_GF_MAX_CELLS"
 
 
-# -- serialization helpers ---------------------------------------------------
+# -- output --------------------------------------------------------------------
+
+
+def _exact(c) -> dict[str, str]:
+    """An exact coefficient as numerator and denominator strings."""
+    return {"n": str(c.numerator), "d": str(c.denominator)}
 
 
 def series_to_payload(series: TruncatedSeries) -> list[dict[str, str]]:
     """Exact JSON-friendly coefficient list (numerator/denominator strings)."""
-    return [
-        {"n": str(c.numerator), "d": str(c.denominator)} for c in series.coeffs
-    ]
+    return [_exact(c) for c in series.coeffs]
 
 
-def payload_to_series(payload) -> TruncatedSeries:
-    """Rebuild a series from ``series_to_payload`` output."""
-    return TruncatedSeries(
-        Fraction(int(item["n"]), int(item["d"])) for item in payload
-    )
+_SERIES_HEADER = ("k", "length", "numerator", "denominator")
 
 
-def _coefficients_csv(series: TruncatedSeries) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["k", "length", "numerator", "denominator"])
-    for k, c in enumerate(series.coeffs):
-        writer.writerow([k, 2 * k, c.numerator, c.denominator])
-    return buf.getvalue()
+def _series_rows(series: TruncatedSeries):
+    return ([k, 2 * k, *_exact(c).values()] for k, c in enumerate(series.coeffs))
 
 
-def _write(text: str, out: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
-            with open(out, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {out!r}: {exc.strerror}") from None
-
-
-def _emit_series(document: dict, series: TruncatedSeries, args) -> None:
+def _emit(document: dict, header, rows, args) -> None:
+    """Write ``document`` as JSON, or ``header`` and ``rows`` as CSV."""
     if args.format == "json":
-        document["coefficients"] = series_to_payload(series)
-        _write(json.dumps(document, indent=2), args.out)
+        text = json.dumps(document, indent=2)
     else:
-        _write(_coefficients_csv(series), args.out)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    if args.out == "-":
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    try:
+        with open(args.out, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out!r}: {exc.strerror}") from None
 
 
 # -- argument handling --------------------------------------------------------
@@ -130,11 +116,6 @@ def _max_cells() -> int | None:
     return cells
 
 
-def _require_k_max(k_max: int) -> None:
-    if k_max < 1:
-        raise ValueError(f"--k-max must be at least 1, got {k_max}")
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -154,32 +135,33 @@ def cmd_gf(args) -> int:
         "start_residue": args.start_residue % restriction.period,
         "order": args.order,
         "multisection": multisection,
+        "coefficients": series_to_payload(series),
     }
-    _emit_series(document, series, args)
+    _emit(document, _SERIES_HEADER, _series_rows(series), args)
     return 0
 
 
-_ORACLE_KINDS = ("restricted", "loops", "simple-loops", "escaping", "odd-length")
+# Oracle kind -> (counter in ``oracle``, whether it takes the restriction).
+# The counter is looked up at call time so that wrappers installed on the
+# ``oracle`` module see the call.
+_ORACLE_KINDS = {
+    "restricted": ("count_restricted", True),
+    "loops": ("count_loops", False),
+    "simple-loops": ("count_simple_loops", False),
+    "escaping": ("count_escaping", False),
+    "odd-length": ("count_odd_length", True),
+}
 
 
 def cmd_oracle(args) -> int:
     max_cells = _max_cells()
-    max_half_len = args.order - 1
-    if max_half_len < 0:
+    if args.order < 1:
         raise ValueError("--order must be positive")
-    restriction = None
-    if args.kind == "restricted":
-        restriction = _restriction_from(args)
-        table = count_restricted(args.dim, restriction, max_half_len, max_cells)
-    elif args.kind == "odd-length":
-        restriction = _restriction_from(args)
-        table = count_odd_length(args.dim, restriction, max_half_len, max_cells)
-    elif args.kind == "loops":
-        table = count_loops(args.dim, max_half_len, max_cells)
-    elif args.kind == "simple-loops":
-        table = count_simple_loops(args.dim, max_half_len, max_cells)
-    else:
-        table = count_escaping(args.dim, max_half_len, max_cells)
+    name, restricted = _ORACLE_KINDS[args.kind]
+    leading = (args.dim, _restriction_from(args)) if restricted else (args.dim,)
+    table = getattr(oracle, name)(*leading, args.order - 1, max_cells)
+    restriction = table.restriction
+    series = TruncatedSeries(table.counts)
     document = {
         "command": "oracle",
         "kind": args.kind,
@@ -187,50 +169,38 @@ def cmd_oracle(args) -> int:
         "residues": list(restriction.residues) if restriction else None,
         "period": restriction.period if restriction else None,
         "order": args.order,
+        "coefficients": series_to_payload(series),
     }
-    _emit_series(document, TruncatedSeries(table.counts), args)
+    _emit(document, _SERIES_HEADER, _series_rows(series), args)
     return 0
 
 
 def cmd_compare(args) -> int:
     restriction = _restriction_from(args)
+    # The oracle checks its cell budget up front, so over-budget input is
+    # refused before the series solve starts.
+    table = oracle.count_restricted(args.dim, restriction, args.order - 1, _max_cells())
     series = restricted_path_gf(args.dim, restriction, 0, args.order)
-    table = count_restricted(args.dim, restriction, args.order - 1, _max_cells())
-    rows = []
-    all_equal = True
-    for k in range(args.order):
-        gf_coeff = series.coeffs[k]
-        oracle_count = table.counts[k]
-        equal = gf_coeff == oracle_count
-        all_equal = all_equal and equal
-        rows.append((k, gf_coeff, oracle_count, equal))
-    if args.format == "json":
-        document = {
-            "command": "compare",
-            "dim": args.dim,
-            "residues": list(restriction.residues),
-            "period": restriction.period,
-            "order": args.order,
-            "rows": [
-                {
-                    "k": k,
-                    "length": 2 * k,
-                    "gf": {"n": str(c.numerator), "d": str(c.denominator)},
-                    "oracle": str(count),
-                    "equal": equal,
-                }
-                for k, c, count, equal in rows
-            ],
-            "pass": all_equal,
-        }
-        _write(json.dumps(document, indent=2), args.out)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["k", "length", "gf_numerator", "gf_denominator", "oracle", "equal"])
-        for k, c, count, equal in rows:
-            writer.writerow([k, 2 * k, c.numerator, c.denominator, count, equal])
-        _write(buf.getvalue(), args.out)
+    rows = [
+        (k, c, count, c == count)
+        for k, (c, count) in enumerate(zip(series.coeffs, table.counts))
+    ]
+    all_equal = all(equal for *_, equal in rows)
+    document = {
+        "command": "compare",
+        "dim": args.dim,
+        "residues": list(restriction.residues),
+        "period": restriction.period,
+        "order": args.order,
+        "rows": [
+            {"k": k, "length": 2 * k, "gf": _exact(c), "oracle": str(count), "equal": equal}
+            for k, c, count, equal in rows
+        ],
+        "pass": all_equal,
+    }
+    header = ("k", "length", "gf_numerator", "gf_denominator", "oracle", "equal")
+    csv_rows = ([k, 2 * k, *_exact(c).values(), count, equal] for k, c, count, equal in rows)
+    _emit(document, header, csv_rows, args)
     print(
         f"compare: {'PASS' if all_equal else 'FAIL'} ({args.order} coefficients)",
         file=sys.stderr,
@@ -238,76 +208,67 @@ def cmd_compare(args) -> int:
     return 0 if all_equal else 1
 
 
-def _first_difference(a: TruncatedSeries, b: TruncatedSeries):
-    for j, (x, y) in enumerate(zip(a.coeffs, b.coeffs)):
-        if x != y:
-            return j, x, y
-    return None
+def _closed_form_check(k: int, order: int, corrupt: bool) -> tuple[bool, str]:
+    """The ``(2k, 0)`` multisection of the staircase walk series against the
+    expansion of ``1/sqrt(1 - (4t)**(2k))``; on failure the detail names the
+    first differing index and both values."""
+    solved = restricted_path_gf(1, hajnal_nagy_set(k), 0, order).multisection(2 * k, 0)
+    target = list(inv_sqrt_one_minus_monomial(4 ** (2 * k), 2 * k, order).coeffs)
+    if corrupt:
+        target[min(2 * k, order - 1)] += 1
+    for j, (got, want) in enumerate(zip(solved.coeffs, target)):
+        if got != want:
+            return False, f" (first differing index {j}: solved {got}, closed form {want})"
+    return True, ""
 
 
-def cmd_verify_hn(args) -> int:
-    _require_k_max(args.k_max)
+def _identity_checks(args, k: int):
+    """``(name, ok, detail)`` for each identity at staircase size ``k``."""
+    if args.command == "verify-hn":
+        yield ("closed-form multisection", *_closed_form_check(k, args.order, args.corrupt))
+    yield "row relation", row_relation_check(args.dim, 2 * k, args.order), ""
+    yield "column substitution", column_substitution_check(args.dim, k, args.order), ""
+    yield "cramer ratio", cramer_ratio_check(args.dim, k, args.order), ""
+    if args.dim == 1:
+        yield "determinant chain", hn_determinant_check(k, args.order), ""
+
+
+def cmd_verify(args) -> int:
+    """``verify-hn`` is ``verify-circulant --dim 1`` plus the closed-form check."""
+    if args.k_max < 1:
+        raise ValueError(f"--k-max must be at least 1, got {args.k_max}")
     all_ok = True
     for k in range(1, args.k_max + 1):
-        family = hajnal_nagy_set(k)
-        solved = restricted_path_gf(1, family, 0, args.order).multisection(2 * k, 0)
-        target = inv_sqrt_one_minus_monomial(4 ** (2 * k), 2 * k, args.order)
-        if args.corrupt:
-            bumped = list(target.coeffs)
-            index = min(2 * k, args.order - 1)
-            bumped[index] += 1
-            target = TruncatedSeries(bumped)
-        if solved == target:
-            print(f"k={k} closed-form multisection PASS")
-        else:
-            j, got, want = _first_difference(solved, target)
-            print(
-                f"k={k} closed-form multisection FAIL"
-                f" (first differing index {j}: solved {got}, closed form {want})"
-            )
-            all_ok = False
-        for name, ok in (
-            ("row relation", row_relation_check(1, 2 * k, args.order)),
-            ("column substitution", column_substitution_check(1, k, args.order)),
-            ("cramer ratio", cramer_ratio_check(1, k, args.order)),
-            ("determinant chain", hn_determinant_check(k, args.order)),
-        ):
-            print(f"k={k} {name} {'PASS' if ok else 'FAIL'}")
+        prefix = f"k={k}" if args.command == "verify-hn" else f"dim={args.dim} k={k}"
+        for name, ok, detail in _identity_checks(args, k):
+            print(f"{prefix} {name} {'PASS' if ok else 'FAIL'}{detail}")
             all_ok = all_ok and ok
-    print(f"verify-hn: {'all checks passed' if all_ok else 'FAILURES found'}")
-    return 0 if all_ok else 1
-
-
-def cmd_verify_circulant(args) -> int:
-    _require_k_max(args.k_max)
-    all_ok = True
-    for k in range(1, args.k_max + 1):
-        for name, ok in (
-            ("row relation", row_relation_check(args.dim, 2 * k, args.order)),
-            ("column substitution", column_substitution_check(args.dim, k, args.order)),
-            ("cramer ratio", cramer_ratio_check(args.dim, k, args.order)),
-        ):
-            print(f"dim={args.dim} k={k} {name} {'PASS' if ok else 'FAIL'}")
-            all_ok = all_ok and ok
-        if args.dim == 1:
-            ok = hn_determinant_check(k, args.order)
-            print(f"dim=1 k={k} determinant chain {'PASS' if ok else 'FAIL'}")
-            all_ok = all_ok and ok
-    print(f"verify-circulant: {'all checks passed' if all_ok else 'FAILURES found'}")
+    print(f"{args.command}: {'all checks passed' if all_ok else 'FAILURES found'}")
     return 0 if all_ok else 1
 
 
 # -- parser --------------------------------------------------------------------
 
 
-def _add_set_flags(sub, required: bool) -> None:
-    sub.add_argument("--residues", required=required, help="comma-separated admissible residues, e.g. 0,1")
-    sub.add_argument("--period", type=int, required=required, help="repetition period of the residues")
+def _add_problem_parser(subs, name: str, help: str, func, set_required: bool = True):
+    sub = subs.add_parser(name, help=help)
+    sub.add_argument("--dim", type=int, required=True)
+    sub.add_argument("--residues", required=set_required, help="comma-separated admissible residues, e.g. 0,1")
+    sub.add_argument("--period", type=int, required=set_required, help="repetition period of the residues")
+    sub.add_argument("--order", type=int, required=True)
+    sub.set_defaults(func=func)
+    return sub
 
 
 def _add_output_flags(sub) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default="-", help="output path, '-' for stdout")
+
+
+def _add_verify_flags(sub) -> None:
+    sub.add_argument("--k-max", type=int, default=3)
+    sub.add_argument("--order", type=int, default=20)
+    sub.set_defaults(func=cmd_verify)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,45 +278,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    gf = subs.add_parser("gf", help="solve the restriction system")
-    gf.add_argument("--dim", type=int, required=True)
-    _add_set_flags(gf, required=True)
-    gf.add_argument("--order", type=int, required=True)
+    gf = _add_problem_parser(subs, "gf", "solve the restriction system", cmd_gf)
     gf.add_argument("--start-residue", type=int, default=0)
     gf.add_argument("--multisection", help="'q,r': keep indices congruent to r mod q")
     _add_output_flags(gf)
-    gf.set_defaults(func=cmd_gf)
 
-    oracle = subs.add_parser("oracle", help="brute-force walk counts")
-    oracle.add_argument("--dim", type=int, required=True)
-    _add_set_flags(oracle, required=False)
-    oracle.add_argument("--order", type=int, required=True)
-    oracle.add_argument("--kind", choices=_ORACLE_KINDS, default="restricted")
-    _add_output_flags(oracle)
-    oracle.set_defaults(func=cmd_oracle)
+    oracle_parser = _add_problem_parser(
+        subs, "oracle", "brute-force walk counts", cmd_oracle, set_required=False
+    )
+    oracle_parser.add_argument("--kind", choices=_ORACLE_KINDS, default="restricted")
+    _add_output_flags(oracle_parser)
 
-    compare = subs.add_parser("compare", help="gf against the brute-force oracle")
-    compare.add_argument("--dim", type=int, required=True)
-    _add_set_flags(compare, required=True)
-    compare.add_argument("--order", type=int, required=True)
-    _add_output_flags(compare)
-    compare.set_defaults(func=cmd_compare)
+    _add_output_flags(
+        _add_problem_parser(subs, "compare", "gf against the brute-force oracle", cmd_compare)
+    )
 
     verify_hn = subs.add_parser("verify-hn", help="one-dimensional identity chain")
-    verify_hn.add_argument("--k-max", type=int, default=3)
-    verify_hn.add_argument("--order", type=int, default=20)
+    _add_verify_flags(verify_hn)
     verify_hn.add_argument(
         "--corrupt",
         action="store_true",
         help="testing aid: corrupt one expected coefficient to exercise failure reporting",
     )
-    verify_hn.set_defaults(func=cmd_verify_hn)
+    verify_hn.set_defaults(dim=1)
 
     verify_circ = subs.add_parser("verify-circulant", help="circulant relations")
     verify_circ.add_argument("--dim", type=int, required=True)
-    verify_circ.add_argument("--k-max", type=int, default=3)
-    verify_circ.add_argument("--order", type=int, default=20)
-    verify_circ.set_defaults(func=cmd_verify_circulant)
+    _add_verify_flags(verify_circ)
 
     return parser
 

@@ -41,7 +41,7 @@ from .series import TruncatedSeries
 
 # Generating functions stay cheap in any dimension, but the coefficients
 # comb(2k, k)**d grow fast enough that a guard keeps accidental huge inputs
-# from stalling a run.  Construct a LoopModel with a larger max_dim to lift it.
+# from stalling a run.
 MAX_GF_DIM = 4
 
 
@@ -60,16 +60,15 @@ class LoopModel:
 
     dim: int
     order: int
-    max_dim: int = MAX_GF_DIM
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
         if self.order < 1:
             raise ValueError("truncation order must be positive")
-        if self.dim > self.max_dim:
+        if self.dim > MAX_GF_DIM:
             raise ResourceLimitError(
-                f"dimension {self.dim} exceeds the configured bound {self.max_dim}"
+                f"dimension {self.dim} exceeds the bound {MAX_GF_DIM}"
             )
 
     def loop_gf(self) -> TruncatedSeries:

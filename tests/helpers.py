@@ -3,8 +3,9 @@
 Everything here is computed by a different route than the library code it
 checks: closed-form binomials, the binomial series for square roots, and a
 step-by-step polygon walk for cyclic distances.  The matrix helpers
-build identity matrices and matrix products entry by entry, and
-``odd_length_count`` reads one value off an oracle table.
+build identity matrices and matrix products entry by entry,
+``odd_length_count`` reads one value off an oracle table, and
+``payload_to_series`` reads back the exact coefficients of a CLI document.
 """
 
 from fractions import Fraction
@@ -72,3 +73,10 @@ def odd_length_count(
 ) -> int:
     """Number of restricted walks of length ``2 * half_len + 1``."""
     return count_odd_length(dim, restriction, half_len, max_cells).counts[half_len]
+
+
+def payload_to_series(payload) -> TruncatedSeries:
+    """Rebuild a series from ``lattice_gf.cli.series_to_payload`` output."""
+    return TruncatedSeries(
+        Fraction(int(item["n"]), int(item["d"])) for item in payload
+    )

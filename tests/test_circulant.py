@@ -135,13 +135,9 @@ class TestDeterminant:
 
 
 class TestQuarter:
-    def test_left_and_right_blocks(self):
+    def test_upper_left_block(self):
         row = [series([v]) for v in (10, 11, 12, 13)]
-        circ = Circulant(row)
-        left = quarter(circ, "left")
-        right = quarter(circ, "right")
-        assert left.rows == ((row[0], row[1]), (row[3], row[0]))
-        assert right.rows == ((row[2], row[3]), (row[1], row[2]))
+        assert quarter(Circulant(row)).rows == ((row[0], row[1]), (row[3], row[0]))
 
     @pytest.mark.parametrize("dim, n", [(d, n) for d, n in CIRCULANT_SIZES if n % 2 == 0])
     def test_lower_band_repeats_upper(self, dim, n):
@@ -156,23 +152,16 @@ class TestQuarter:
         circ = restriction_circulant(1, 6, 10)
         assert circ.grading == (6, (0, 1, 2, 3, 4, 5))
         assert circ.to_matrix().grading == (6, (0, 1, 2, 3, 4, 5))
-        assert quarter(circ, "left").grading == (6, (0, 1, 2))
-        # The right quarter's diagonal lies in class k, so it stays trivial.
-        assert quarter(circ, "right").grading == (1, (0, 0, 0))
+        assert quarter(circ).grading == (6, (0, 1, 2))
         # A first row off its classes keeps the trivial grading.
         plain = Circulant([series([v, 1]) for v in (10, 11, 12, 13)])
         assert plain.grading == (1, (0, 0, 0, 0))
-        assert quarter(plain, "left").grading == (1, (0, 0))
+        assert quarter(plain).grading == (1, (0, 0))
 
     def test_odd_size_rejected(self):
         circ = Circulant([series([1]), series([0]), series([0])])
         with pytest.raises(ValueError):
-            quarter(circ, "left")
-
-    def test_unknown_block_rejected(self):
-        circ = Circulant([series([1]), series([0])])
-        with pytest.raises(ValueError):
-            quarter(circ, "middle")
+            quarter(circ)
 
 
 class TestGradedDeterminant:
@@ -181,7 +170,7 @@ class TestGradedDeterminant:
         order = 17
         for circ in (restriction_circulant(dim, 2 * k, order),
                      escaping_circulant(dim, 2 * k, order)):
-            for matrix in (quarter(circ, "left"), circ.to_matrix()):
+            for matrix in (quarter(circ), circ.to_matrix()):
                 assert matrix.grading[0] == 2 * k
                 dense = SeriesMatrix(matrix.rows)
                 assert series_determinant(matrix) == series_determinant(dense)

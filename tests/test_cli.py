@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from lattice_gf.cli import main, payload_to_series, series_to_payload
+from helpers import payload_to_series
+from lattice_gf.cli import main, series_to_payload
 from lattice_gf.periodic import PeriodicSet
 from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import restricted_path_gf
@@ -239,6 +240,18 @@ class TestCompareCommand:
         assert rows[0][:2] == ["k", "length"]
         assert all(row[-1] == "True" for row in rows[1:])
 
+    def test_over_budget_refused_before_solving(self, capsys, monkeypatch):
+        def solve(*args):
+            raise AssertionError("the series route ran on over-budget input")
+
+        monkeypatch.setattr("lattice_gf.cli.restricted_path_gf", solve)
+        code, out, err = run_cli(
+            capsys, "compare", "--dim", "2", "--residues", "0", "--period", "2",
+            "--order", "700")
+        assert code == 3
+        assert out == ""
+        assert "exceeds the budget" in err
+
 
 class TestVerifyCommands:
     def test_verify_hn_passes(self, capsys):
@@ -280,6 +293,97 @@ class TestVerifyCommands:
         assert code == 2
         assert out == ""
         assert "--k-max must be at least 1" in err
+
+
+class TestPinnedText:
+    """Full stdout, stderr and exit code of the text-producing commands."""
+
+    CASES = {
+        "verify-hn": (
+            ("verify-hn", "--k-max", "2", "--order", "12"), 0,
+            "k=1 closed-form multisection PASS\n"
+            "k=1 row relation PASS\n"
+            "k=1 column substitution PASS\n"
+            "k=1 cramer ratio PASS\n"
+            "k=1 determinant chain PASS\n"
+            "k=2 closed-form multisection PASS\n"
+            "k=2 row relation PASS\n"
+            "k=2 column substitution PASS\n"
+            "k=2 cramer ratio PASS\n"
+            "k=2 determinant chain PASS\n"
+            "verify-hn: all checks passed\n",
+            "",
+        ),
+        "verify-hn-corrupt": (
+            ("verify-hn", "--k-max", "1", "--order", "12", "--corrupt"), 1,
+            "k=1 closed-form multisection FAIL"
+            " (first differing index 2: solved 8, closed form 9)\n"
+            "k=1 row relation PASS\n"
+            "k=1 column substitution PASS\n"
+            "k=1 cramer ratio PASS\n"
+            "k=1 determinant chain PASS\n"
+            "verify-hn: FAILURES found\n",
+            "",
+        ),
+        "verify-circulant-dim1": (
+            ("verify-circulant", "--dim", "1", "--k-max", "2", "--order", "10"), 0,
+            "dim=1 k=1 row relation PASS\n"
+            "dim=1 k=1 column substitution PASS\n"
+            "dim=1 k=1 cramer ratio PASS\n"
+            "dim=1 k=1 determinant chain PASS\n"
+            "dim=1 k=2 row relation PASS\n"
+            "dim=1 k=2 column substitution PASS\n"
+            "dim=1 k=2 cramer ratio PASS\n"
+            "dim=1 k=2 determinant chain PASS\n"
+            "verify-circulant: all checks passed\n",
+            "",
+        ),
+        "verify-circulant-dim2": (
+            ("verify-circulant", "--dim", "2", "--k-max", "2", "--order", "10"), 0,
+            "dim=2 k=1 row relation PASS\n"
+            "dim=2 k=1 column substitution PASS\n"
+            "dim=2 k=1 cramer ratio PASS\n"
+            "dim=2 k=2 row relation PASS\n"
+            "dim=2 k=2 column substitution PASS\n"
+            "dim=2 k=2 cramer ratio PASS\n"
+            "verify-circulant: all checks passed\n",
+            "",
+        ),
+        "compare-json": (
+            ("compare", "--dim", "1", "--residues", "0,1", "--period", "4",
+             "--order", "6"), 0,
+            (DATA / "compare_dim1_res01_mod4_order6.json").read_text(),
+            "compare: PASS (6 coefficients)\n",
+        ),
+        "compare-csv": (
+            ("compare", "--dim", "1", "--residues", "0,1", "--period", "4",
+             "--order", "6", "--format", "csv"), 0,
+            "k,length,gf_numerator,gf_denominator,oracle,equal\r\n"
+            "0,0,1,1,1,True\r\n"
+            "1,2,4,1,4,True\r\n"
+            "2,4,10,1,10,True\r\n"
+            "3,6,32,1,32,True\r\n"
+            "4,8,128,1,128,True\r\n"
+            "5,10,512,1,512,True\r\n",
+            "compare: PASS (6 coefficients)\n",
+        ),
+        "oracle-simple-loops-csv": (
+            ("oracle", "--dim", "1", "--order", "5", "--kind", "simple-loops",
+             "--format", "csv"), 0,
+            "k,length,numerator,denominator\r\n"
+            "0,0,0,1\r\n"
+            "1,2,2,1\r\n"
+            "2,4,2,1\r\n"
+            "3,6,4,1\r\n"
+            "4,8,10,1\r\n",
+            "",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_pinned(self, capsys, case):
+        argv, want_code, want_out, want_err = self.CASES[case]
+        assert run_cli(capsys, *argv) == (want_code, want_out, want_err)
 
 
 class TestUnwritableOut:
