@@ -155,9 +155,9 @@ _ORACLE_KINDS = {
 
 def cmd_oracle(args) -> int:
     max_cells = _max_cells()
-    if args.order < 1:
-        raise ValueError("--order must be positive")
     name, restricted = _ORACLE_KINDS[args.kind]
+    if not restricted and (args.residues is not None or args.period is not None):
+        raise ValueError(f"--kind {args.kind} takes no --residues or --period")
     leading = (args.dim, _restriction_from(args)) if restricted else (args.dim,)
     table = getattr(oracle, name)(*leading, args.order - 1, max_cells)
     restriction = table.restriction
@@ -251,12 +251,18 @@ def cmd_verify(args) -> int:
 
 
 def _add_problem_parser(subs, name: str, help: str, func, set_required: bool = True):
+    def checked(args) -> int:
+        # The one --order check of gf, oracle and compare.
+        if args.order < 1:
+            raise ValueError("--order must be positive")
+        return func(args)
+
     sub = subs.add_parser(name, help=help)
     sub.add_argument("--dim", type=int, required=True)
     sub.add_argument("--residues", required=set_required, help="comma-separated admissible residues, e.g. 0,1")
     sub.add_argument("--period", type=int, required=set_required, help="repetition period of the residues")
     sub.add_argument("--order", type=int, required=True)
-    sub.set_defaults(func=func)
+    sub.set_defaults(func=checked)
     return sub
 
 

@@ -1,29 +1,32 @@
 """Brute-force dynamic-programming walk counters, the package's ground truth.
 
 Counts are obtained by propagating exact integer occupation numbers over a
-dense hypercube of lattice sites.  The combined ``{-1,+1}**d`` step is the
-tensor product of ``d`` one-dimensional steps, so one time step is ``d``
-axis-wise shift-adds.  Erasing the origin cell at a forbidden even time is
-the same as never generating the offending walks, which makes restriction
-handling a single assignment.
+grid of lattice sites, one axis-wise shift-add per dimension and time step.
+Erasing the origin cell at a forbidden even time is the same as never
+generating the offending walks, which makes restriction handling a single
+assignment.
 
-The grid radius ``2K + 1`` is large enough that no walk of length ``2K + 1``
-ever leaves it, so boundary truncation loses no mass.  Counts are Python
-integers throughout (they overflow any fixed-width type quickly).
+The grid is folded by the reflections ``x_i -> -x_i``: per axis it stores
+the orbit sums ``f(a)`` of the sites ``+a`` and ``-a``, ``a = 0 .. 2K + 1``,
+which no walk of length ``2K + 1`` leaves.  The step commutes with every
+reflection, so folding it is exact for any occupation numbers: it becomes
+``g(0) = f(1)``, ``g(1) = 2 f(0) + f(2)``, ``g(a) = f(a - 1) + f(a + 1)``,
+a reflecting walk with a double weight out of 0 (Feller, *An Introduction to
+Probability Theory and Its Applications*, vol. 1, ch. III).  The origin is an
+orbit of its own and the cells sum to the total mass, so every count is read
+off as on the full grid, from about ``2**d`` times fewer cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from operator import add
+from typing import Callable, Optional
 
 from .errors import ResourceLimitError
 from .periodic import PeriodicSet
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# Default budget on dense grid cells; covers dimension 3 up to half-length 12.
+# Budget on cells of the unfolded grid, (4K + 3)**d; covers dimension 3 to K = 13.
 DEFAULT_MAX_CELLS = 200_000
 MAX_ORACLE_DIM = 3
 
@@ -49,9 +52,7 @@ def _check_budget(dim: int, max_half_len: int, max_cells: Optional[int]) -> None
     if max_half_len < 0:
         raise ValueError("half-length must be nonnegative")
     if dim > MAX_ORACLE_DIM:
-        raise ResourceLimitError(
-            f"oracle dimension {dim} exceeds the cap {MAX_ORACLE_DIM}"
-        )
+        raise ResourceLimitError(f"oracle dimension {dim} exceeds the cap {MAX_ORACLE_DIM}")
     budget = DEFAULT_MAX_CELLS if max_cells is None else max_cells
     cells = (4 * max_half_len + 3) ** dim
     if cells > budget:
@@ -61,21 +62,32 @@ def _check_budget(dim: int, max_half_len: int, max_cells: Optional[int]) -> None
         )
 
 
-def _advance(arr: np.ndarray) -> np.ndarray:
-    """Apply one ``{-1,+1}**d`` step as d axis-wise shift-adds."""
-    import numpy as np
+def _advance(arr: list[int], side: int) -> list[int]:
+    """Apply one ``{-1,+1}**d`` step to a flat folded grid of ``side**d`` cells.
 
-    for axis in range(arr.ndim):
-        nxt = np.zeros_like(arr)
-        upper = tuple(
-            slice(1, None) if a == axis else slice(None) for a in range(arr.ndim)
-        )
-        lower = tuple(
-            slice(None, -1) if a == axis else slice(None) for a in range(arr.ndim)
-        )
-        nxt[upper] = arr[lower]
-        nxt[lower] += arr[upper]
+    Per axis, one shift-add by the axis stride over the whole list; then
+    column 1 adds its second ``f(0)`` and the last column drops what the
+    shift carried over from the next line.  Column 0 needs no repair: it
+    also gets the line before's last column, which is empty until the last step.
+    """
+    size = len(arr)
+    stride = 1
+    while stride < size:
+        line = stride * side
+        nxt = list(map(add, [0] * stride + arr[:-stride], arr[stride:] + [0] * stride))
+        # A column as slices: one per offset in a line, or per line if fewer.
+        if stride < size // line:
+            runs = [(lo, size, line) for lo in range(stride)]
+        else:
+            runs = [(lo, lo + stride, 1) for lo in range(0, size, line)]
+        for lo, hi, step in runs:
+            zero, one, below_last, last = (
+                slice(lo + c * stride, hi + c * stride, step) for c in (0, 1, side - 2, side - 1)
+            )
+            nxt[last] = arr[below_last]  # first: it is column 1 when side == 2
+            nxt[one] = map(add, nxt[one], arr[zero])
         arr = nxt
+        stride = line
     return arr
 
 
@@ -90,37 +102,25 @@ def _origin_walk(
     origin_even[k]  occupation of the origin after step 2k, before erasing;
     total_even[k]   total mass after step 2k, after erasing if forbidden;
     total_odd[k]    total mass after step 2k + 1.
-
-    numpy is imported here, not at module level, so that importing the
-    package and the series route never pay for it.
     """
-    import numpy as np
-
     _check_budget(dim, max_half_len, max_cells)
-    side = 4 * max_half_len + 3
-    arr = np.zeros((side,) * dim, dtype=object)
-    origin = (2 * max_half_len + 1,) * dim
-    arr[origin] = 1
-
-    origin_even = [1]
-    total_even = [1]
-    total_odd = []
+    side = 2 * max_half_len + 2
+    arr = [0] * side**dim
+    arr[0] = 1  # the origin is cell 0
+    origin_even, total_even, total_odd = [1], [1], []
     for step in range(1, 2 * max_half_len + 2):
-        arr = _advance(arr)
+        arr = _advance(arr, side)
         if step % 2 == 1:
             # Parity self-check: all coordinates are odd after an odd number
             # of steps, so the origin must be empty.
-            if arr[origin] != 0:
-                raise ArithmeticError(
-                    f"origin occupied after odd step {step}: count {arr[origin]!r}"
-                )
-            total_odd.append(int(arr.sum()))
+            if arr[0] != 0:
+                raise ArithmeticError(f"origin occupied after odd step {step}: count {arr[0]!r}")
+            total_odd.append(sum(arr))
         else:
-            k = step // 2
-            origin_even.append(int(arr[origin]))
-            if not allow_touch(k):
-                arr[origin] = 0
-            total_even.append(int(arr.sum()))
+            origin_even.append(arr[0])
+            if not allow_touch(step // 2):
+                arr[0] = 0
+            total_even.append(sum(arr))
     return origin_even, total_even, total_odd
 
 

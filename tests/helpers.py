@@ -6,9 +6,12 @@ step-by-step polygon walk for cyclic distances.  The matrix helpers
 build identity matrices and matrix products entry by entry,
 ``odd_length_count`` reads one value off an oracle table, and
 ``payload_to_series`` reads back the exact coefficients of a CLI document.
+``unfolded_counts`` is the reference for the folded oracle: the same dynamic
+program over every site of the unfolded grid.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from lattice_gf.oracle import count_odd_length
@@ -80,3 +83,51 @@ def payload_to_series(payload) -> TruncatedSeries:
     return TruncatedSeries(
         Fraction(int(item["n"]), int(item["d"])) for item in payload
     )
+
+
+def unfolded_walk(dim: int, max_half_len: int, allow_touch) -> tuple[list, list, list]:
+    """Origin counts after even steps, and total counts after even and after
+    odd steps, from a plain list with one cell per site of ``[-R, R]**dim``,
+    ``R = 2 * max_half_len + 1``.  Each step moves every cell's count to its
+    ``2**dim`` diagonal neighbours; the origin is emptied after step ``2k``
+    unless ``allow_touch(k)``.  No count reaches ``|x_i| = R`` before the
+    last step, so no move wraps round the flat list.  Tiny sizes only.
+    """
+    width = 2 * (2 * max_half_len + 1) + 1
+    strides = [width**axis for axis in range(dim)]
+    offsets = [
+        sum(m * stride for m, stride in zip(move, strides))
+        for move in product((-1, 1), repeat=dim)
+    ]
+    origin = (width // 2) * sum(strides)
+    counts = [0] * width**dim
+    counts[origin] = 1
+    origin_even, total_even, total_odd = [1], [1], []
+    for step in range(1, 2 * max_half_len + 2):
+        moved = [0] * len(counts)
+        for cell, count in enumerate(counts):
+            if count:
+                for offset in offsets:
+                    moved[cell + offset] += count
+        counts = moved
+        if step % 2:
+            total_odd.append(sum(counts))
+        else:
+            origin_even.append(counts[origin])
+            if not allow_touch(step // 2):
+                counts[origin] = 0
+            total_even.append(sum(counts))
+    return origin_even, total_even, total_odd
+
+
+def unfolded_counts(
+    kind: str, dim: int, restriction: PeriodicSet | None, max_half_len: int
+) -> list[int]:
+    """What the oracle counter for CLI ``--kind kind`` should return."""
+    if kind in ("restricted", "odd-length"):
+        _, even, odd = unfolded_walk(dim, max_half_len, restriction.is_admissible_half_time)
+        return even if kind == "restricted" else odd
+    origins, totals, _ = unfolded_walk(dim, max_half_len, lambda k: kind == "loops")
+    if kind == "simple-loops":
+        return [0] + origins[1:]
+    return origins if kind == "loops" else totals

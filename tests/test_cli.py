@@ -219,6 +219,34 @@ class TestOracleCommand:
         assert "LATTICE_GF_MAX_CELLS must be positive" in err
 
 
+class TestRefusals:
+    """Inputs that ``gf``, ``oracle`` and ``compare`` refuse with exit 2."""
+
+    PROBLEMS = {
+        "gf": ("gf", "--dim", "1", "--residues", "0", "--period", "2"),
+        "oracle": ("oracle", "--dim", "2", "--kind", "loops"),
+        "compare": ("compare", "--dim", "1", "--residues", "0", "--period", "2"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(PROBLEMS))
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_order_must_be_positive(self, capsys, command, order):
+        code, out, err = run_cli(capsys, *self.PROBLEMS[command], "--order", order)
+        assert (code, out, err) == (2, "", "error: --order must be positive\n")
+
+    @pytest.mark.parametrize("kind", ["loops", "simple-loops", "escaping"])
+    @pytest.mark.parametrize("flags", [
+        ("--residues", "1", "--period", "2"),
+        ("--residues", "0"),
+        ("--period", "2"),
+    ], ids=["both", "residues", "period"])
+    def test_restriction_refused_on_unrestricted_kinds(self, capsys, kind, flags):
+        code, out, err = run_cli(
+            capsys, "oracle", "--dim", "1", "--order", "3", "--kind", kind, *flags)
+        assert (code, out, err) == (
+            2, "", f"error: --kind {kind} takes no --residues or --period\n")
+
+
 class TestCompareCommand:
     def test_passing_comparison(self, capsys):
         code, out, err = run_cli(
@@ -419,9 +447,28 @@ class TestModuleEntryPoint:
         assert series.coeffs == (1, 2, 8)
 
     def test_import_does_not_load_numpy(self):
-        # numpy is needed only by the enumeration oracle's dynamic program.
+        # The package depends on the standard library alone.
         result = subprocess.run(
             [sys.executable, "-c",
              "import lattice_gf.cli, sys; assert 'numpy' not in sys.modules"],
             capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_commands_do_not_load_numpy(self):
+        code = """
+import contextlib, io, sys
+from lattice_gf.cli import main
+restriction = ["--residues", "0", "--period", "2"]
+commands = [
+    ["oracle", "--dim", "2", "--order", "4", "--kind", kind]
+    + (restriction if kind in ("restricted", "odd-length") else [])
+    for kind in ("restricted", "loops", "simple-loops", "escaping", "odd-length")
+] + [["compare", "--dim", "2", *restriction, "--order", "4"]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+assert codes == [0] * 6, codes
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
         assert result.returncode == 0, result.stderr

@@ -17,7 +17,7 @@ from lattice_gf.oracle import (
 )
 from lattice_gf.periodic import PeriodicSet, hajnal_nagy_set
 
-from helpers import odd_length_count
+from helpers import odd_length_count, unfolded_counts
 
 
 class TestLoops:
@@ -137,16 +137,50 @@ class TestResourceBudget:
             count_loops(1, max_half_len=-1)
 
 
-# A step that also drops a walk on the centre cell, so the origin is
-# occupied after odd steps.  Kept as source so the same breakage runs in a
-# ``python -O`` subprocess.
+KIND_COUNTERS = {
+    "restricted": count_restricted,
+    "odd-length": count_odd_length,
+    "loops": count_loops,
+    "simple-loops": count_simple_loops,
+    "escaping": count_escaping,
+}
+REFERENCE_SETS = {
+    "full mod 3": PeriodicSet.full(3),
+    "0 mod 2": PeriodicSet((0,), 2),
+    "0,1 mod 3": PeriodicSet((0, 1), 3),
+    "0,2 mod 5": PeriodicSet((0, 2), 5),
+    "staircase 0,1,2 mod 6": hajnal_nagy_set(3),
+}
+REFERENCE_CASES = [
+    (kind, name) for kind in ("restricted", "odd-length") for name in REFERENCE_SETS
+] + [(kind, None) for kind in ("loops", "simple-loops", "escaping")]
+
+
+class TestAgainstUnfoldedReference:
+    """The folded DP against the same DP over every site of the full grid."""
+
+    HALF_LENGTHS = {1: (0, 1, 9), 2: (0, 1, 5), 3: (0, 1, 3)}
+
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    @pytest.mark.parametrize("kind, set_name", REFERENCE_CASES)
+    def test_matches_unfolded_dp(self, kind, set_name, dim):
+        restriction = REFERENCE_SETS.get(set_name)
+        leading = (dim, restriction) if restriction else (dim,)
+        for half_len in self.HALF_LENGTHS[dim]:
+            table = KIND_COUNTERS[kind](*leading, half_len)
+            assert list(table.counts) == unfolded_counts(kind, dim, restriction, half_len)
+
+
+# A step that also drops a walk on the origin, cell 0 of the folded grid, so
+# the origin is occupied after odd steps.  Kept as source so the same
+# breakage runs in a ``python -O`` subprocess.
 BROKEN_ADVANCE = """
 import lattice_gf.oracle as oracle
 _real_advance = oracle._advance
 
-def _broken_advance(arr):
-    out = _real_advance(arr)
-    out[tuple(side // 2 for side in out.shape)] += 1
+def _broken_advance(arr, side):
+    out = _real_advance(arr, side)
+    out[0] += 1
     return out
 """
 
