@@ -251,18 +251,12 @@ def cmd_verify(args) -> int:
 
 
 def _add_problem_parser(subs, name: str, help: str, func, set_required: bool = True):
-    def checked(args) -> int:
-        # The one --order check of gf, oracle and compare.
-        if args.order < 1:
-            raise ValueError("--order must be positive")
-        return func(args)
-
     sub = subs.add_parser(name, help=help)
     sub.add_argument("--dim", type=int, required=True)
     sub.add_argument("--residues", required=set_required, help="comma-separated admissible residues, e.g. 0,1")
     sub.add_argument("--period", type=int, required=set_required, help="repetition period of the residues")
     sub.add_argument("--order", type=int, required=True)
-    sub.set_defaults(func=checked)
+    sub.set_defaults(func=func)
     return sub
 
 
@@ -322,6 +316,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        # The one --order check; every subcommand takes --order.
+        if args.order < 1:
+            raise ValueError("--order must be positive")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

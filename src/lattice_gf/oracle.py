@@ -7,14 +7,27 @@ generating the offending walks, which makes restriction handling a single
 assignment.
 
 The grid is folded by the reflections ``x_i -> -x_i``: per axis it stores
-the orbit sums ``f(a)`` of the sites ``+a`` and ``-a``, ``a = 0 .. 2K + 1``,
-which no walk of length ``2K + 1`` leaves.  The step commutes with every
-reflection, so folding it is exact for any occupation numbers: it becomes
-``g(0) = f(1)``, ``g(1) = 2 f(0) + f(2)``, ``g(a) = f(a - 1) + f(a + 1)``,
+the orbit sums ``f(a)`` of the sites ``+a`` and ``-a``.  The step commutes
+with every reflection, so folding it is exact for any occupation numbers: it
+becomes ``g(0) = f(1)``, ``g(1) = 2 f(0) + f(2)``, ``g(a) = f(a - 1) + f(a + 1)``,
 a reflecting walk with a double weight out of 0 (Feller, *An Introduction to
 Probability Theory and Its Applications*, vol. 1, ch. III).  The origin is an
 orbit of its own and the cells sum to the total mass, so every count is read
-off as on the full grid, from about ``2**d`` times fewer cells.
+off as on the full grid.
+
+Only one parity class is stored: after ``s`` steps every ``a`` has the
+parity of ``s``, so each axis holds ``a = 2j + s % 2`` for
+``j = 0 .. K + 1`` at half-length ``K``.  The last column, ``a = 2K + 2``
+or ``2K + 3``, lies past any walk of at most ``2K + 1`` steps, so it stays
+empty.  The folded step then splits into two kernels: even to odd,
+``o[j] = e[j] + e[j + 1]`` with a second ``e[0]`` in ``o[0]``; odd to even,
+``E[0] = o[0]`` and ``E[j] = o[j - 1] + o[j]``.  The grid has ``(K + 2)**d``
+cells, about ``4**d`` times fewer than the ``(4K + 3)**d`` sites of the full
+grid, which the cell budget still counts.
+
+Every walk has ``2**d`` continuations, so after each step the total mass is
+``2**d`` times the total before it, taken after any erasure.  The DP checks
+this mass balance at every step and raises ``ArithmeticError`` if it fails.
 """
 
 from __future__ import annotations
@@ -62,32 +75,48 @@ def _check_budget(dim: int, max_half_len: int, max_cells: Optional[int]) -> None
         )
 
 
-def _advance(arr: list[int], side: int) -> list[int]:
-    """Apply one ``{-1,+1}**d`` step to a flat folded grid of ``side**d`` cells.
+def _to_odd(arr: list[int], side: int) -> list[int]:
+    """Step from an even to an odd time: ``o[j] = e[j] + e[j + 1]`` per axis,
+    with a second ``e[0]`` in ``o[0]``.
 
-    Per axis, one shift-add by the axis stride over the whole list; then
-    column 1 adds its second ``f(0)`` and the last column drops what the
-    shift carried over from the next line.  Column 0 needs no repair: it
-    also gets the line before's last column, which is empty until the last step.
+    Per axis, one shift-add by the axis stride over the whole list; the
+    last column, which is empty, then drops what the shift carried over
+    from the next line.
     """
     size = len(arr)
     stride = 1
     while stride < size:
         line = stride * side
-        nxt = list(map(add, [0] * stride + arr[:-stride], arr[stride:] + [0] * stride))
+        nxt = list(map(add, arr, arr[stride:]))
+        nxt += arr[-stride:]
         # A column as slices: one per offset in a line, or per line if fewer.
         if stride < size // line:
             runs = [(lo, size, line) for lo in range(stride)]
         else:
             runs = [(lo, lo + stride, 1) for lo in range(0, size, line)]
         for lo, hi, step in runs:
-            zero, one, below_last, last = (
-                slice(lo + c * stride, hi + c * stride, step) for c in (0, 1, side - 2, side - 1)
-            )
-            nxt[last] = arr[below_last]  # first: it is column 1 when side == 2
-            nxt[one] = map(add, nxt[one], arr[zero])
+            zero = slice(lo, hi, step)
+            last = slice(lo + line - stride, hi + line - stride, step)
+            nxt[last] = arr[last]
+            nxt[zero] = map(add, nxt[zero], arr[zero])
         arr = nxt
         stride = line
+    return arr
+
+
+def _to_even(arr: list[int], side: int) -> list[int]:
+    """Step from an odd to an even time: ``E[0] = o[0]``, ``E[j] = o[j - 1] + o[j]``.
+
+    Per axis, one shift-add by the axis stride.  Column 0 also gets the line
+    before's last column, which is empty at odd times, so nothing needs repair.
+    """
+    size = len(arr)
+    stride = 1
+    while stride < size:
+        nxt = arr[:stride]
+        nxt += map(add, arr[stride:], arr)
+        arr = nxt
+        stride *= side
     return arr
 
 
@@ -104,23 +133,30 @@ def _origin_walk(
     total_odd[k]    total mass after step 2k + 1.
     """
     _check_budget(dim, max_half_len, max_cells)
-    side = 2 * max_half_len + 2
+    side = max_half_len + 2
     arr = [0] * side**dim
     arr[0] = 1  # the origin is cell 0
     origin_even, total_even, total_odd = [1], [1], []
     for step in range(1, 2 * max_half_len + 2):
-        arr = _advance(arr, side)
-        if step % 2 == 1:
-            # Parity self-check: all coordinates are odd after an odd number
-            # of steps, so the origin must be empty.
-            if arr[0] != 0:
-                raise ArithmeticError(f"origin occupied after odd step {step}: count {arr[0]!r}")
-            total_odd.append(sum(arr))
+        odd = step % 2 == 1
+        arr = (_to_odd if odd else _to_even)(arr, side)
+        # Mass balance: each walk in the previous total, taken after any
+        # erasure, has 2**d continuations.
+        total = sum(arr)
+        previous = total_even[-1] if odd else total_odd[-1]
+        if total != previous << dim:
+            raise ArithmeticError(
+                f"mass balance broken at step {step}: total {total},"
+                f" expected {1 << dim} times the previous total {previous}"
+            )
+        if odd:
+            total_odd.append(total)
         else:
             origin_even.append(arr[0])
             if not allow_touch(step // 2):
+                total -= arr[0]
                 arr[0] = 0
-            total_even.append(sum(arr))
+            total_even.append(total)
     return origin_even, total_even, total_odd
 
 

@@ -220,12 +220,14 @@ class TestOracleCommand:
 
 
 class TestRefusals:
-    """Inputs that ``gf``, ``oracle`` and ``compare`` refuse with exit 2."""
+    """Inputs that the subcommands refuse with exit 2."""
 
     PROBLEMS = {
         "gf": ("gf", "--dim", "1", "--residues", "0", "--period", "2"),
         "oracle": ("oracle", "--dim", "2", "--kind", "loops"),
         "compare": ("compare", "--dim", "1", "--residues", "0", "--period", "2"),
+        "verify-hn": ("verify-hn", "--k-max", "1"),
+        "verify-circulant": ("verify-circulant", "--dim", "2", "--k-max", "1"),
     }
 
     @pytest.mark.parametrize("command", sorted(PROBLEMS))

@@ -1,13 +1,12 @@
 """Tests for loop, primitive-excursion, and escaping generating functions."""
 
-from fractions import Fraction
 from math import comb
 
 import pytest
 
 from lattice_gf.errors import ResourceLimitError
 from lattice_gf.loops import LoopModel, loop_count
-from lattice_gf.oracle import count_escaping
+from lattice_gf.oracle import count_escaping, count_loops, count_simple_loops
 from lattice_gf.series import TruncatedSeries
 
 
@@ -54,11 +53,15 @@ class TestLoopModel:
         assert model.escaping_gf().coeffs == (1, 12, 172)
 
     def test_escaping_matches_enumeration(self):
-        for dim in (1, 2):
-            model = LoopModel(dim=dim, order=5)
-            table = count_escaping(dim, max_half_len=4)
-            assert model.escaping_gf().coeffs == tuple(
-                Fraction(c) for c in table.counts)
+        # Loops, simple loops and escaping walks by both routes, at the
+        # half-lengths the CLI benchmark asks of the oracle.
+        for dim, half_len in ((1, 40), (2, 40), (3, 12)):
+            model = LoopModel(dim=dim, order=half_len + 1)
+            simple_gf = TruncatedSeries.one(model.order) - model.reciprocal_loop_gf()
+            for gf, counter in ((model.loop_gf(), count_loops),
+                                (simple_gf, count_simple_loops),
+                                (model.escaping_gf(), count_escaping)):
+                assert gf.coeffs == counter(dim, half_len).counts, (dim, counter.__name__)
 
     def test_escaping_decomposition(self):
         # Splitting a free walk at its last visit to the start:

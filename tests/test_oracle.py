@@ -171,35 +171,47 @@ class TestAgainstUnfoldedReference:
             assert list(table.counts) == unfolded_counts(kind, dim, restriction, half_len)
 
 
-# A step that also drops a walk on the origin, cell 0 of the folded grid, so
-# the origin is occupied after odd steps.  Kept as source so the same
-# breakage runs in a ``python -O`` subprocess.
-BROKEN_ADVANCE = """
+# A step kernel that loses or duplicates one walk at cell 0.  Kept as source
+# so the same breakage runs in a ``python -O`` subprocess.
+BROKEN_KERNEL = """
 import lattice_gf.oracle as oracle
-_real_advance = oracle._advance
+from lattice_gf.periodic import PeriodicSet
+_real_kernel = oracle.{kernel}
 
-def _broken_advance(arr, side):
-    out = _real_advance(arr, side)
-    out[0] += 1
+def _broken_kernel(arr, side):
+    out = _real_kernel(arr, side)
+    out[0] += {delta}
     return out
 """
+# Breakage -> (kernel, change at cell 0, error text) for the restricted
+# count on {0} mod 2 in dim 2, whose totals are 1, 4, 16 up to step 2.
+BREAKAGES = {
+    "drop": ("_to_even", -1,
+             "mass balance broken at step 2: total 15, expected 4 times the previous total 4"),
+    "duplicate": ("_to_odd", 1,
+                  "mass balance broken at step 1: total 5, expected 4 times the previous total 1"),
+}
 
 
-class TestParityCheck:
-    def test_broken_step_raises(self, monkeypatch):
+class TestMassBalance:
+    @pytest.mark.parametrize("breakage", sorted(BREAKAGES))
+    def test_broken_kernel_raises(self, monkeypatch, breakage):
+        kernel, delta, message = BREAKAGES[breakage]
         namespace = {}
-        exec(BROKEN_ADVANCE, namespace)
-        monkeypatch.setattr(oracle, "_advance", namespace["_broken_advance"])
-        with pytest.raises(ArithmeticError, match="odd step 1: count 1"):
-            count_loops(2, max_half_len=2)
+        exec(BROKEN_KERNEL.format(kernel=kernel, delta=delta), namespace)
+        monkeypatch.setattr(oracle, kernel, namespace["_broken_kernel"])
+        with pytest.raises(ArithmeticError) as info:
+            count_restricted(2, PeriodicSet((0,), 2), max_half_len=2)
+        assert str(info.value) == message
 
-    def test_broken_step_raises_under_optimize(self):
-        code = BROKEN_ADVANCE + """
-oracle._advance = _broken_advance
-from lattice_gf.periodic import PeriodicSet
+    @pytest.mark.parametrize("breakage", sorted(BREAKAGES))
+    def test_broken_kernel_raises_under_optimize(self, breakage):
+        kernel, delta, message = BREAKAGES[breakage]
+        code = BROKEN_KERNEL.format(kernel=kernel, delta=delta) + f"""
+oracle.{kernel} = _broken_kernel
 assert False, "asserts must be stripped under -O"
 try:
-    oracle.count_restricted(1, PeriodicSet((0,), 2), 3)
+    oracle.count_restricted(2, PeriodicSet((0,), 2), 2)
 except ArithmeticError as exc:
     print(exc)
 else:
@@ -208,4 +220,4 @@ else:
         result = subprocess.run([sys.executable, "-O", "-c", code],
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert "odd step 1: count 1" in result.stdout
+        assert result.stdout == message + "\n"
