@@ -4,7 +4,6 @@ admissible even times, together with a brute-force path-counting oracle and
 the circulant determinant identities satisfied by the solved series."""
 
 from .circulant import (
-    Circulant,
     column_substitution_check,
     cramer_ratio_check,
     escaping_circulant,
@@ -40,7 +39,6 @@ from .system import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Circulant",
     "LoopModel",
     "PathCountTable",
     "PeriodicSet",

@@ -10,10 +10,9 @@ Cramer's rule this expresses the even multisection of the restricted walk
 series as a ratio of quarter determinants, and in one dimension the full
 determinant collapses to ``sqrt(1 - (4t)**(2k))``.
 
-The ``j``-th first-row entry of these circulants is the ``(n, j)``
-multisection of a series, so entry ``(i, j)`` lives on exponents congruent to
-``j - i`` mod ``n``.  ``Circulant`` detects this from its first row; the full
-matrix and the upper-left quarter then carry the grading ``(n, range(...))``,
+Entry ``(i, j)`` of these circulants is the ``(n, j - i)`` multisection of a
+series, so the builders declare the grading ``(n, (0, ..., n-1))`` of
+``SeriesMatrix``; the upper-left quarter keeps the first half of the labels,
 and ``series_determinant`` runs the elimination kernel of ``system`` on it,
 keeping each entry as a series in ``t**n``.
 """
@@ -26,64 +25,27 @@ from .series import TruncatedSeries, inv_sqrt_one_minus_monomial
 from .system import SeriesMatrix, _eliminate, restricted_path_gf
 
 
-class Circulant:
-    """Square matrix determined by its first row: entry(i, j) = row[(j - i) % n]."""
-
-    __slots__ = ("first_row",)
-
-    def __init__(self, first_row):
-        row = tuple(first_row)
-        if not row:
-            raise ValueError("circulant needs at least one entry")
-        if len({entry.order for entry in row}) != 1:
-            raise ValueError("entries must share one truncation order")
-        self.first_row = row
-
-    @property
-    def n(self) -> int:
-        return len(self.first_row)
-
-    @property
-    def order(self) -> int:
-        return self.first_row[0].order
-
-    def entry(self, i: int, j: int) -> TruncatedSeries:
-        return self.first_row[(j - i) % self.n]
-
-    @property
-    def grading(self) -> tuple[int, tuple[int, ...]]:
-        """``(n, (0, ..., n-1))`` when every ``first_row[j]`` is supported on
-        exponents congruent to ``j`` mod ``n``, else the trivial grading."""
-        n = self.n
-        if all(entry.is_multisection(n, j) for j, entry in enumerate(self.first_row)):
-            return n, tuple(range(n))
-        return 1, (0,) * n
-
-    def to_matrix(self) -> SeriesMatrix:
-        n = self.n
-        return SeriesMatrix(
-            [[self.entry(i, j) for j in range(n)] for i in range(n)], self.grading
-        )
+def _graded_circulant(series: TruncatedSeries, n: int) -> SeriesMatrix:
+    """The ``n x n`` circulant whose entry ``(i, j)`` is the ``(n, j - i)``
+    multisection of ``series``, graded ``(n, (0, ..., n-1))``."""
+    if n < 1:
+        raise ValueError("circulant size must be positive")
+    row = [series.multisection(n, j) for j in range(n)]
+    return SeriesMatrix([row[n - i:] + row[:n - i] for i in range(n)], (n, range(n)))
 
 
-def restriction_circulant(dim: int, n: int, order: int) -> Circulant:
+def restriction_circulant(dim: int, n: int, order: int) -> SeriesMatrix:
     """Circulant whose principal submatrices are restriction system matrices.
 
     The first row splits the reciprocal loop series, which is one minus the
     simple-loop series, into its ``n`` multisections.
     """
-    if n < 1:
-        raise ValueError("circulant size must be positive")
-    reciprocal = LoopModel(dim, order).reciprocal_loop_gf()
-    return Circulant([reciprocal.multisection(n, j) for j in range(n)])
+    return _graded_circulant(LoopModel(dim, order).reciprocal_loop_gf(), n)
 
 
-def escaping_circulant(dim: int, n: int, order: int) -> Circulant:
+def escaping_circulant(dim: int, n: int, order: int) -> SeriesMatrix:
     """Circulant built from the multisections of the escaping series."""
-    if n < 1:
-        raise ValueError("circulant size must be positive")
-    escaping = LoopModel(dim, order).escaping_gf()
-    return Circulant([escaping.multisection(n, j) for j in range(n)])
+    return _graded_circulant(LoopModel(dim, order).escaping_gf(), n)
 
 
 def row_relation_check(dim: int, n: int, order: int) -> bool:
@@ -93,8 +55,8 @@ def row_relation_check(dim: int, n: int, order: int) -> bool:
     ``4**d t`` times the escaping series, so each difference of row entries
     is the ``t``-shift of the cyclically previous escaping entry.
     """
-    restriction_row = restriction_circulant(dim, n, order).first_row
-    escaping_row = escaping_circulant(dim, n, order).first_row
+    restriction_row = restriction_circulant(dim, n, order).rows[0]
+    escaping_row = escaping_circulant(dim, n, order).rows[0]
     weight = 4**dim
     return all(
         escaping_row[j] - restriction_row[j]
@@ -119,15 +81,14 @@ def series_determinant(matrix: SeriesMatrix) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def quarter(circ: Circulant) -> SeriesMatrix:
-    """Upper-left quarter of an even circulant, with the circulant's grading."""
-    if circ.n % 2 != 0:
-        raise ValueError("quarter split needs an even circulant size")
-    k = circ.n // 2
-    period, labels = circ.grading
-    return SeriesMatrix(
-        [[circ.entry(i, j) for j in range(k)] for i in range(k)], (period, labels[:k])
-    )
+def quarter(matrix: SeriesMatrix) -> SeriesMatrix:
+    """Upper-left quarter of an even-sized matrix, graded by the labels of
+    its first half."""
+    if matrix.n % 2 != 0:
+        raise ValueError("quarter split needs an even matrix size")
+    k = matrix.n // 2
+    period, labels = matrix.grading
+    return SeriesMatrix([row[:k] for row in matrix.rows[:k]], (period, labels[:k]))
 
 
 def column_substitution_check(dim: int, k: int, order: int) -> bool:
@@ -176,7 +137,7 @@ def hn_determinant_check(k: int, order: int) -> bool:
     full determinant is exactly ``sqrt(1 - (4t)**(2k))``.
     """
     full = restriction_circulant(1, 2 * k, order)
-    det_full = series_determinant(full.to_matrix())
+    det_full = series_determinant(full)
     det_restriction = series_determinant(quarter(full))
     det_escaping = series_determinant(
         quarter(escaping_circulant(1, 2 * k, order))

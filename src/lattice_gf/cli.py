@@ -53,8 +53,9 @@ def series_to_payload(series: TruncatedSeries) -> list[dict[str, str]]:
 _SERIES_HEADER = ("k", "length", "numerator", "denominator")
 
 
-def _series_rows(series: TruncatedSeries):
-    return ([k, 2 * k, *_exact(c).values()] for k, c in enumerate(series.coeffs))
+def _series_rows(series: TruncatedSeries, odd: bool = False):
+    """CSV rows; row ``k`` counts walks of length ``2k``, or ``2k + 1`` if ``odd``."""
+    return ([k, 2 * k + odd, *_exact(c).values()] for k, c in enumerate(series.coeffs))
 
 
 def _emit(document: dict, header, rows, args) -> None:
@@ -171,7 +172,7 @@ def cmd_oracle(args) -> int:
         "order": args.order,
         "coefficients": series_to_payload(series),
     }
-    _emit(document, _SERIES_HEADER, _series_rows(series), args)
+    _emit(document, _SERIES_HEADER, _series_rows(series, args.kind == "odd-length"), args)
     return 0
 
 
@@ -237,6 +238,12 @@ def cmd_verify(args) -> int:
     """``verify-hn`` is ``verify-circulant --dim 1`` plus the closed-form check."""
     if args.k_max < 1:
         raise ValueError(f"--k-max must be at least 1, got {args.k_max}")
+    # At --order 2k or below, the series in t**(2k) of staircase size k are
+    # cut to their constant terms, so the largest k would test nothing.
+    if args.order <= 2 * args.k_max:
+        raise ValueError(
+            f"--order {args.order} must exceed twice --k-max {args.k_max}"
+        )
     all_ok = True
     for k in range(1, args.k_max + 1):
         prefix = f"k={k}" if args.command == "verify-hn" else f"dim={args.dim} k={k}"

@@ -190,9 +190,9 @@ class TruncatedSeries:
         the original series coefficient for coefficient.
         """
         _check_section(q, r)
-        return TruncatedSeries(
-            c if j % q == r else _ZERO for j, c in enumerate(self.coeffs)
-        )
+        out = [_ZERO] * self.order
+        out[r::q] = self.coeffs[r::q]
+        return TruncatedSeries(out)
 
     def is_multisection(self, q: int, r: int) -> bool:
         """Whether every nonzero coefficient sits at an index congruent to r

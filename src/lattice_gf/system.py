@@ -48,7 +48,7 @@ class SeriesMatrix:
     ``grading = (period, labels)`` declares that entry ``(i, j)`` is supported
     on exponents congruent to ``labels[j] - labels[i]`` mod ``period``.  The
     default is the trivial grading ``(1, (0,) * n)``, which every matrix has;
-    a declared grading is checked entry by entry.
+    a declared grading is checked once per distinct series and class.
     """
 
     __slots__ = ("rows", "grading")
@@ -60,21 +60,28 @@ class SeriesMatrix:
         size = len(grid)
         if any(len(row) != size for row in grid):
             raise ValueError("matrix must be square")
-        orders = {entry.order for row in grid for entry in row}
-        if len(orders) != 1:
-            raise ValueError("entries must share one truncation order")
         period, labels = (1, (0,) * size) if grading is None else grading
         labels = tuple(labels)
         if period < 1 or len(labels) != size:
             raise ValueError("grading needs a positive period and one label per row")
+        # Builders reuse one series object across many entries, so each
+        # distinct (series, class) pair is checked once.
+        order = grid[0][0].order
+        checked = set()
         for i, row in enumerate(grid):
             for j, entry in enumerate(row):
                 cls = (labels[j] - labels[i]) % period
+                key = (id(entry), cls)
+                if key in checked:
+                    continue
+                if entry.order != order:
+                    raise ValueError("entries must share one truncation order")
                 if not entry.is_multisection(period, cls):
                     raise ValueError(
                         f"entry ({i}, {j}) has a coefficient outside its class"
                         f" {cls} mod {period}"
                     )
+                checked.add(key)
         self.rows = grid
         self.grading = (period, labels)
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from lattice_gf.circulant import (
-    Circulant,
     column_substitution_check,
     cramer_ratio_check,
     escaping_circulant,
@@ -33,51 +32,54 @@ CIRCULANT_SIZES = [(dim, n) for dim in (1, 2, 3) for n in (1, 2, 4, 5, 8)]
 
 class TestCirculantShape:
     def test_entry_indexing(self):
-        row = [series([1, 0]), series([2, 0]), series([3, 0])]
-        circ = Circulant(row)
-        for i in range(3):
-            for j in range(3):
-                assert circ.entry(i, j) == row[(j - i) % 3]
+        for circ in (restriction_circulant(2, 5, 9), escaping_circulant(2, 5, 9)):
+            row = circ.rows[0]
+            for i in range(5):
+                for j in range(5):
+                    assert circ.entry(i, j) is row[(j - i) % 5]
 
-    def test_to_matrix_rows_rotate(self):
-        row = [series([1]), series([2]), series([3])]
-        matrix = Circulant(row).to_matrix()
-        assert matrix.rows[1] == (series([3]), series([1]), series([2]))
-        assert matrix.rows[2] == (series([2]), series([3]), series([1]))
+    def test_rows_rotate(self):
+        circ = restriction_circulant(1, 3, 7)
+        a, b, c = circ.rows[0]
+        assert circ.rows[1] == (c, a, b)
+        assert circ.rows[2] == (b, c, a)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Circulant([])
+        for build in (restriction_circulant, escaping_circulant):
+            for n in (0, -2):
+                with pytest.raises(ValueError, match="circulant size must be positive"):
+                    build(1, n, 5)
 
     def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Circulant([series([1]), series([1, 2])])
+        with pytest.raises(ValueError, match="one truncation order"):
+            SeriesMatrix([[series([1]), series([0])], [series([0]), series([1, 2])]])
 
 
 class TestFirstRows:
     def test_restriction_row_frozen(self):
         circ = restriction_circulant(1, 2, 5)
-        assert circ.first_row[0].coeffs == (1, 0, -2, 0, -10)
-        assert circ.first_row[1].coeffs == (0, -2, 0, -4, 0)
+        assert circ.rows[0][0].coeffs == (1, 0, -2, 0, -10)
+        assert circ.rows[0][1].coeffs == (0, -2, 0, -4, 0)
 
     def test_escaping_row_frozen(self):
         circ = escaping_circulant(1, 2, 5)
-        assert circ.first_row[0].coeffs == (1, 0, 6, 0, 70)
-        assert circ.first_row[1].coeffs == (0, 2, 0, 20, 0)
+        assert circ.rows[0][0].coeffs == (1, 0, 6, 0, 70)
+        assert circ.rows[0][1].coeffs == (0, 2, 0, 20, 0)
 
     def test_single_class_degenerate(self):
         # n = 1 keeps the whole series in one entry.
         circ = restriction_circulant(1, 1, 6)
         assert circ.n == 1
-        recip = circ.first_row[0]
+        assert circ.grading == (1, (0,))
+        recip = circ.entry(0, 0)
         assert recip.constant_term == 1
 
     def test_rows_partition_their_series(self):
         # The n multisections reassemble the reciprocal loop series.
         circ = restriction_circulant(2, 4, 8)
-        total = circ.first_row[0]
+        total = circ.rows[0][0]
         for j in range(1, 4):
-            total = total + circ.first_row[j]
+            total = total + circ.rows[0][j]
         assert total == LoopModel(dim=2, order=8).loop_gf().inverse()
 
     @pytest.mark.parametrize("dim, n", CIRCULANT_SIZES)
@@ -87,7 +89,7 @@ class TestFirstRows:
         order = 12
         reciprocal = LoopModel(dim=dim, order=order).loop_gf().inverse()
         circ = restriction_circulant(dim, n, order)
-        assert list(circ.first_row) == [
+        assert list(circ.rows[0]) == [
             reciprocal.multisection(n, j) for j in range(n)]
 
     def test_matches_system_matrix_on_residues(self):
@@ -130,14 +132,15 @@ class TestDeterminant:
             series_determinant(SeriesMatrix([[t]]))
 
     def test_restriction_determinant_is_unit(self):
-        det = series_determinant(restriction_circulant(1, 4, 8).to_matrix())
+        det = series_determinant(restriction_circulant(1, 4, 8))
         assert det.constant_term == 1
 
 
 class TestQuarter:
     def test_upper_left_block(self):
-        row = [series([v]) for v in (10, 11, 12, 13)]
-        assert quarter(Circulant(row)).rows == ((row[0], row[1]), (row[3], row[0]))
+        rows = [[series([10 * i + j]) for j in range(4)] for i in range(4)]
+        assert quarter(SeriesMatrix(rows)).rows == (
+            (rows[0][0], rows[0][1]), (rows[1][0], rows[1][1]))
 
     @pytest.mark.parametrize("dim, n", [(d, n) for d, n in CIRCULANT_SIZES if n % 2 == 0])
     def test_lower_band_repeats_upper(self, dim, n):
@@ -149,19 +152,19 @@ class TestQuarter:
                     assert circ.entry(k + i, k + j) == circ.entry(i, j)
 
     def test_gradings(self):
-        circ = restriction_circulant(1, 6, 10)
-        assert circ.grading == (6, (0, 1, 2, 3, 4, 5))
-        assert circ.to_matrix().grading == (6, (0, 1, 2, 3, 4, 5))
-        assert quarter(circ).grading == (6, (0, 1, 2))
-        # A first row off its classes keeps the trivial grading.
-        plain = Circulant([series([v, 1]) for v in (10, 11, 12, 13)])
-        assert plain.grading == (1, (0, 0, 0, 0))
+        for build in (restriction_circulant, escaping_circulant):
+            circ = build(1, 6, 10)
+            assert circ.grading == (6, (0, 1, 2, 3, 4, 5))
+            assert quarter(circ).grading == (6, (0, 1, 2))
+        # Any even-sized matrix splits, keeping the first half of its labels.
+        plain = SeriesMatrix([[series([v, 1]) for v in (10, 11, 12, 13)]] * 4)
         assert quarter(plain).grading == (1, (0, 0))
+        graded = SeriesMatrix([[series([1, 0])] * 2] * 2, (2, (1, 1)))
+        assert quarter(graded).grading == (2, (1,))
 
     def test_odd_size_rejected(self):
-        circ = Circulant([series([1]), series([0]), series([0])])
-        with pytest.raises(ValueError):
-            quarter(circ)
+        with pytest.raises(ValueError, match="even"):
+            quarter(restriction_circulant(1, 3, 5))
 
 
 class TestGradedDeterminant:
@@ -170,7 +173,7 @@ class TestGradedDeterminant:
         order = 17
         for circ in (restriction_circulant(dim, 2 * k, order),
                      escaping_circulant(dim, 2 * k, order)):
-            for matrix in (quarter(circ), circ.to_matrix()):
+            for matrix in (quarter(circ), circ):
                 assert matrix.grading[0] == 2 * k
                 dense = SeriesMatrix(matrix.rows)
                 assert series_determinant(matrix) == series_determinant(dense)
@@ -198,6 +201,6 @@ class TestDeterminantChain:
 
     def test_inverse_pair_dim1(self):
         for n in (2, 4, 6):
-            b = escaping_circulant(1, n, 10).to_matrix()
-            c = restriction_circulant(1, n, 10).to_matrix()
+            b = escaping_circulant(1, n, 10)
+            c = restriction_circulant(1, n, 10)
             assert matmul(b, c) == identity_matrix(n, 10)

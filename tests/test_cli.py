@@ -236,6 +236,14 @@ class TestRefusals:
         code, out, err = run_cli(capsys, *self.PROBLEMS[command], "--order", order)
         assert (code, out, err) == (2, "", "error: --order must be positive\n")
 
+    @pytest.mark.parametrize("command", ["verify-hn", "verify-circulant"])
+    @pytest.mark.parametrize("k_max, order", [("40", "2"), ("2", "4"), ("3", "1")])
+    def test_verify_order_must_exceed_twice_k_max(self, capsys, command, k_max, order):
+        argv = [*self.PROBLEMS[command][:-2], "--k-max", k_max, "--order", order]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (
+            2, "", f"error: --order {order} must exceed twice --k-max {k_max}\n")
+
     @pytest.mark.parametrize("kind", ["loops", "simple-loops", "escaping"])
     @pytest.mark.parametrize("flags", [
         ("--residues", "1", "--period", "2"),
@@ -312,6 +320,11 @@ class TestVerifyCommands:
             "--order", "10")
         assert code == 0
         assert "dim=1 k=1 determinant chain PASS" in out
+
+    def test_order_just_above_twice_k_max_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-hn", "--k-max", "1", "--order", "3")
+        assert code == 0
+        assert out.endswith("verify-hn: all checks passed\n")
 
     @pytest.mark.parametrize("argv", [
         ("verify-hn", "--k-max", "0"),
@@ -406,6 +419,15 @@ class TestPinnedText:
             "2,4,2,1\r\n"
             "3,6,4,1\r\n"
             "4,8,10,1\r\n",
+            "",
+        ),
+        "oracle-odd-length-csv": (
+            ("oracle", "--dim", "1", "--residues", "0", "--period", "2",
+             "--order", "3", "--kind", "odd-length", "--format", "csv"), 0,
+            "k,length,numerator,denominator\r\n"
+            "0,1,2,1\r\n"
+            "1,3,4,1\r\n"
+            "2,5,16,1\r\n",
             "",
         ),
     }

@@ -136,6 +136,16 @@ class TestSystemAssembly:
         with pytest.raises(ValueError):
             SeriesMatrix([[one, odd], [odd, one]], (2, (0,)))
 
+    def test_shared_series_checked_per_class(self):
+        # One series object sits at entry (0, 1), class 1 mod 3, where it
+        # belongs, and at entry (1, 0), class 2 mod 3, where it does not.
+        order = 5
+        one, zero = TruncatedSeries.one(order), TruncatedSeries.zero(order)
+        t = TruncatedSeries.monomial(1, 1, order)
+        rows = [[one, t, zero], [t, one, zero], [zero, zero, one]]
+        with pytest.raises(ValueError, match=r"entry \(1, 0\).*class 2 mod 3"):
+            SeriesMatrix(rows, (3, (0, 1, 2)))
+
     def test_singular_system_rejected(self):
         order = 4
         zero = TruncatedSeries.zero(order)
