@@ -14,7 +14,7 @@ from .circulant import (
     series_determinant,
 )
 from .errors import ResourceLimitError
-from .loops import LoopModel, loop_count
+from .loops import LoopModel
 from .oracle import (
     PathCountTable,
     count_escaping,
@@ -29,8 +29,6 @@ from .system import (
     RestrictedPathSolution,
     SeriesMatrix,
     build_system,
-    period_two_closed_form,
-    reduction_check,
     restricted_path_gf,
     solve_linear_system,
     solve_restricted,
@@ -58,10 +56,7 @@ __all__ = [
     "hajnal_nagy_set",
     "hn_determinant_check",
     "inv_sqrt_one_minus_monomial",
-    "loop_count",
-    "period_two_closed_form",
     "quarter",
-    "reduction_check",
     "restricted_path_gf",
     "restriction_circulant",
     "row_relation_check",

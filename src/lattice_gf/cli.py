@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 resource budget exceeded.  JSON output stores every coefficient as exact
-numerator and denominator strings so values round-trip without loss.
+numerator and denominator strings; coefficients are integers, so the
+denominator is always "1".
 """
 
 from __future__ import annotations
@@ -40,14 +41,14 @@ MAX_CELLS_ENV = "LATTICE_GF_MAX_CELLS"
 # -- output --------------------------------------------------------------------
 
 
-def _exact(c) -> dict[str, str]:
-    """An exact coefficient as numerator and denominator strings."""
-    return {"n": str(c.numerator), "d": str(c.denominator)}
+def _fraction(c: int) -> dict[str, str]:
+    """An integer coefficient as numerator and denominator strings."""
+    return {"n": str(c), "d": "1"}
 
 
 def series_to_payload(series: TruncatedSeries) -> list[dict[str, str]]:
-    """Exact JSON-friendly coefficient list (numerator/denominator strings)."""
-    return [_exact(c) for c in series.coeffs]
+    """JSON-friendly coefficient list (numerator/denominator strings)."""
+    return [_fraction(c) for c in series.coeffs]
 
 
 _SERIES_HEADER = ("k", "length", "numerator", "denominator")
@@ -55,7 +56,7 @@ _SERIES_HEADER = ("k", "length", "numerator", "denominator")
 
 def _series_rows(series: TruncatedSeries, odd: bool = False):
     """CSV rows; row ``k`` counts walks of length ``2k``, or ``2k + 1`` if ``odd``."""
-    return ([k, 2 * k + odd, *_exact(c).values()] for k, c in enumerate(series.coeffs))
+    return ([k, 2 * k + odd, *_fraction(c).values()] for k, c in enumerate(series.coeffs))
 
 
 def _emit(document: dict, header, rows, args) -> None:
@@ -194,13 +195,13 @@ def cmd_compare(args) -> int:
         "period": restriction.period,
         "order": args.order,
         "rows": [
-            {"k": k, "length": 2 * k, "gf": _exact(c), "oracle": str(count), "equal": equal}
+            {"k": k, "length": 2 * k, "gf": _fraction(c), "oracle": str(count), "equal": equal}
             for k, c, count, equal in rows
         ],
         "pass": all_equal,
     }
     header = ("k", "length", "gf_numerator", "gf_denominator", "oracle", "equal")
-    csv_rows = ([k, 2 * k, *_exact(c).values(), count, equal] for k, c, count, equal in rows)
+    csv_rows = ([k, 2 * k, *_fraction(c).values(), count, equal] for k, c, count, equal in rows)
     _emit(document, header, csv_rows, args)
     print(
         f"compare: {'PASS' if all_equal else 'FAIL'} ({args.order} coefficients)",

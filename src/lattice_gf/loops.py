@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
 from .errors import ResourceLimitError
 from .series import TruncatedSeries
@@ -43,15 +42,6 @@ from .series import TruncatedSeries
 # comb(2k, k)**d grow fast enough that a guard keeps accidental huge inputs
 # from stalling a run.
 MAX_GF_DIM = 4
-
-
-def loop_count(dim: int, k: int) -> int:
-    """Number of length-``2k`` loops of the origin in ``dim`` dimensions."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    if k < 0:
-        raise ValueError("half-length must be nonnegative")
-    return comb(2 * k, k) ** dim
 
 
 @dataclass(frozen=True)

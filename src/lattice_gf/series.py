@@ -1,13 +1,13 @@
-"""Exact truncated formal power series over integer or rational coefficients.
+"""Exact truncated formal power series over the integers.
 
-A series is a dense vector of exact coefficients ``c0, c1, ..., c_{N-1}``
-for a fixed truncation order ``N``.  Coefficients are plain ``int`` wherever
-they are integral and ``fractions.Fraction`` only where a value really is
-rational: a ``Fraction`` supplied by the caller, the inverse of a constant
-term other than +-1, or a square-root expansion whose base is not divisible
-by 4.  The walk series of this package have integer coefficients and unit
-constant terms, so they stay in ``Z[[t]]`` throughout.  Other inputs, such as
-floats, are converted exactly with ``Fraction``.
+A series is a dense vector of plain ``int`` coefficients ``c0, c1, ...,
+c_{N-1}`` for a fixed truncation order ``N``: an element of ``Z[[t]]`` known
+up to ``t**N``.  Every series of this package counts walks or is built from
+such counts, so the integers are the one coefficient ring.  Other integer
+types, such as ``bool``, are converted with ``operator.index``; a rational,
+floating-point or decimal coefficient is refused with ``TypeError``.  The
+ring stays closed: only series with constant term +-1 are inverted, and the
+square-root expansion needs a base divisible by 4.
 
 The order is part of the value: binary operations refuse operands of
 different orders instead of silently re-truncating, which keeps long identity
@@ -20,25 +20,11 @@ path length ``2j``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-from numbers import Integral
-from operator import add, neg, sub
-from typing import Iterable, Union
+from operator import add, index, neg, sub
+from typing import Iterable
 
-Scalar = Union[int, Fraction]
-
-_ZERO = 0
-_EXACT_TYPES = frozenset((int, Fraction))
-
-
-def _exact(value) -> Scalar:
-    """``value`` as a plain int when it is an integer, else as a Fraction."""
-    if type(value) is int or type(value) is Fraction:
-        return value
-    if isinstance(value, Integral):
-        return int(value)
-    return Fraction(value)
+_INT = frozenset((int,))
 
 
 def product_coeffs(f, g, size: int, shift: int = 0) -> list:
@@ -48,7 +34,7 @@ def product_coeffs(f, g, size: int, shift: int = 0) -> list:
     ``g``.
     """
     support = [(j, gj) for j, gj in enumerate(g) if gj]
-    out = [_ZERO] * size
+    out = [0] * size
     for i, fi in enumerate(f, shift):
         if not fi:
             continue
@@ -72,10 +58,10 @@ class TruncatedSeries:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar]):
+    def __init__(self, coeffs: Iterable[int]):
         cs = tuple(coeffs)
-        if not _EXACT_TYPES.issuperset(map(type, cs)):
-            cs = tuple(map(_exact, cs))
+        if not _INT.issuperset(map(type, cs)):
+            cs = tuple(map(index, cs))
         if not cs:
             raise ValueError("a series needs a positive truncation order")
         self.coeffs = cs
@@ -91,23 +77,23 @@ class TruncatedSeries:
         return cls.constant(1, order)
 
     @classmethod
-    def constant(cls, value: Scalar, order: int) -> "TruncatedSeries":
+    def constant(cls, value: int, order: int) -> "TruncatedSeries":
         if order < 1:
             raise ValueError("truncation order must be positive")
-        row = [_ZERO] * order
-        row[0] = _exact(value)
+        row = [0] * order
+        row[0] = value
         return cls(row)
 
     @classmethod
-    def monomial(cls, coeff: Scalar, exponent: int, order: int) -> "TruncatedSeries":
+    def monomial(cls, coeff: int, exponent: int, order: int) -> "TruncatedSeries":
         """The series ``coeff * t**exponent`` (zero if the exponent is cut off)."""
         if order < 1:
             raise ValueError("truncation order must be positive")
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        row = [_ZERO] * order
+        row = [0] * order
         if exponent < order:
-            row[exponent] = _exact(coeff)
+            row[exponent] = coeff
         return cls(row)
 
     # -- basic queries -----------------------------------------------------
@@ -117,10 +103,10 @@ class TruncatedSeries:
         return len(self.coeffs)
 
     @property
-    def constant_term(self) -> Scalar:
+    def constant_term(self) -> int:
         return self.coeffs[0]
 
-    def coefficient(self, j: int) -> Scalar:
+    def coefficient(self, j: int) -> int:
         if not 0 <= j < self.order:
             raise ValueError(f"index {j} outside truncation order {self.order}")
         return self.coeffs[j]
@@ -149,9 +135,8 @@ class TruncatedSeries:
         return TruncatedSeries(map(neg, self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            scale = _exact(other)
-            return TruncatedSeries(c * scale for c in self.coeffs)
+        if isinstance(other, int):
+            return TruncatedSeries(c * other for c in self.coeffs)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
@@ -162,23 +147,26 @@ class TruncatedSeries:
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse in the truncated ring.
 
-        A unit constant term (+-1) is its own inverse, so integer series stay
-        integer; any other constant term makes the result rational.
+        The series must be a unit of ``Z[[t]]``: its constant term is +-1,
+        which is its own inverse.
         """
         a = self.coeffs
         a0 = a[0]
         if a0 == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv0 = a0 if a0 == 1 or a0 == -1 else Fraction(1, a0)
+        if a0 != 1 and a0 != -1:
+            raise ArithmeticError(
+                f"constant term {a0} is not +-1: the inverse leaves Z[[t]]"
+            )
         support = [(i, a[i]) for i in range(1, self.order) if a[i]]
-        out = [inv0]
+        out = [a0]
         for j in range(1, self.order):
-            acc = _ZERO
+            acc = 0
             for i, ai in support:
                 if i > j:
                     break
                 acc += ai * out[j - i]
-            out.append(-inv0 * acc)
+            out.append(-a0 * acc)
         return TruncatedSeries(out)
 
     # -- multisection and shifts --------------------------------------------
@@ -190,7 +178,7 @@ class TruncatedSeries:
         the original series coefficient for coefficient.
         """
         _check_section(q, r)
-        out = [_ZERO] * self.order
+        out = [0] * self.order
         out[r::q] = self.coeffs[r::q]
         return TruncatedSeries(out)
 
@@ -204,15 +192,14 @@ class TruncatedSeries:
         section = cs[r::q]
         return cs.count(0) - section.count(0) == len(cs) - len(section)
 
-    def shift_by_monomial(self, coeff: Scalar, exponent: int) -> "TruncatedSeries":
+    def shift_by_monomial(self, coeff: int, exponent: int) -> "TruncatedSeries":
         """Multiply by ``coeff * t**exponent``, truncating at the same order."""
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        scale = _exact(coeff)
         n = self.order
-        out = [_ZERO] * n
+        out = [0] * n
         for j in range(exponent, n):
-            out[j] = scale * self.coeffs[j - exponent]
+            out[j] = coeff * self.coeffs[j - exponent]
         return TruncatedSeries(out)
 
     # -- comparisons ----------------------------------------------------------
@@ -251,23 +238,24 @@ class TruncatedSeries:
         return f"<TruncatedSeries {self}>"
 
 
-def inv_sqrt_one_minus_monomial(coeff: Scalar, exponent: int, order: int) -> TruncatedSeries:
+def inv_sqrt_one_minus_monomial(coeff: int, exponent: int, order: int) -> TruncatedSeries:
     """Expansion of ``(1 - coeff * t**exponent) ** (-1/2)``.
 
     The coefficient at ``t**(j*exponent)`` is ``comb(2j, j) * (coeff/4)**j``
-    and every other coefficient vanishes.  The coefficients are integers
-    when 4 divides ``coeff``, as in the Hajnal-Nagy case ``4**(2k)``.
+    and every other coefficient vanishes.  These are integers exactly when 4
+    divides ``coeff``, as in the Hajnal-Nagy case ``4**(2k)``; any other
+    ``coeff`` is refused.
     """
     if order < 1:
         raise ValueError("truncation order must be positive")
     if exponent < 1:
         raise ValueError("exponent must be positive")
-    coeff = _exact(coeff)
-    if type(coeff) is int and coeff % 4 == 0:
-        base, power = coeff // 4, 1
-    else:
-        base, power = Fraction(coeff) / 4, Fraction(1)
-    out = [_ZERO] * order
+    if coeff % 4:
+        raise ValueError(
+            f"coefficient {coeff} is not a multiple of 4: the expansion leaves Z[[t]]"
+        )
+    base, power = coeff // 4, 1
+    out = [0] * order
     j = 0
     while j * exponent < order:
         out[j * exponent] = comb(2 * j, j) * power

@@ -96,17 +96,6 @@ class SeriesMatrix:
     def entry(self, i: int, j: int) -> TruncatedSeries:
         return self.rows[i][j]
 
-    def mul_vec(self, vec: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
-        if len(vec) != self.n:
-            raise ValueError("vector length does not match the matrix size")
-        out = []
-        for row in self.rows:
-            acc = TruncatedSeries.zero(self.order)
-            for entry, x in zip(row, vec):
-                acc = acc + entry * x
-            out.append(acc)
-        return out
-
     def __eq__(self, other):
         if isinstance(other, SeriesMatrix):
             return self.rows == other.rows
@@ -135,12 +124,13 @@ def _eliminate(matrix: SeriesMatrix, rhs: Sequence[TruncatedSeries] = ()):
     matrix (entries below the diagonal are left stale) and the inverse of
     each pivot, as coefficient lists in ``u``, and the reduced right-hand
     side.  The pivots, and so the determinant, lie in class 0.  Every pivot
-    must be a unit.
+    must be a unit of ``Z[[u]]``, constant term +-1.
     """
     period, labels = matrix.grading
     n, order = matrix.n, matrix.order
-    sizes = [len(range(c, order, period)) for c in range(period)]
     classes = [[(lb - la) % period for lb in labels] for la in labels]
+    # Length of each class that occurs, not of every class of the period.
+    sizes = {c: len(range(c, order, period)) for row in classes for c in row}
     rows = [
         [entry.coeffs[c::period] for entry, c in zip(row, row_classes)]
         for row, row_classes in zip(matrix.rows, classes)
@@ -149,9 +139,10 @@ def _eliminate(matrix: SeriesMatrix, rhs: Sequence[TruncatedSeries] = ()):
     inverses = []
     for i in range(n):
         pivot = rows[i][i]
-        if pivot[0] == 0:
+        if pivot[0] != 1 and pivot[0] != -1:
             raise ArithmeticError(
-                f"pivot {i} has zero constant term: elimination needs unit pivots"
+                f"pivot {i} has constant term {pivot[0]}: elimination needs"
+                " unit pivots, constant term +-1"
             )
         inv = TruncatedSeries(pivot).inverse().coeffs
         inverses.append(inv)
@@ -200,7 +191,7 @@ def solve_linear_system(
 ) -> list[TruncatedSeries]:
     """Gaussian elimination over the series ring, no pivot search.
 
-    Every pivot must be a unit (nonzero constant term); for the systems built
+    Every pivot must be a unit (constant term +-1); for the systems built
     here the diagonal keeps constant term 1 throughout elimination.
     """
     n, order = matrix.n, matrix.order
@@ -232,9 +223,9 @@ class RestrictedPathSolution:
 
 def check_walk_series(residue: int, series: TruncatedSeries) -> None:
     """Raise ArithmeticError unless ``series`` can count walks: every
-    coefficient a nonnegative ``int`` and the constant term 1."""
+    coefficient nonnegative and the constant term 1."""
     for index, c in enumerate(series.coeffs):
-        if type(c) is not int or c < 0 or (index == 0 and c != 1):
+        if c < 0 or (index == 0 and c != 1):
             raise ArithmeticError(
                 f"restricted-walk series for residue {residue} has bad"
                 f" coefficient {c!r} at index {index}: expected a nonnegative"
@@ -297,48 +288,3 @@ def restricted_path_gf(
             f"start residue {start_residue} is not admissible for {restriction}"
         )
     return solve_restricted(dim, restriction, order).series[reduced]
-
-
-def reduction_check(
-    dim: int, restriction: PeriodicSet, anchor: int, slot: int, order: int
-) -> bool:
-    """Verify that one multisection of each solved series solves the same
-    system with multisected right-hand side.
-
-    Taking the ``(period, l_r)``-multisection of the equation for residue
-    ``r`` with ``l_r = (shift_distance(r, anchor) + slot) mod period`` keeps
-    the unknowns aligned, because each matrix entry is supported on a single
-    residue class.  The anchor's own series contributes its
-    ``(period, slot)``-multisection.
-    """
-    period = restriction.period
-    anchor_reduced = anchor % period
-    if anchor_reduced not in restriction.residues:
-        raise ValueError(f"anchor residue {anchor} is not admissible")
-    if not 0 <= slot < period:
-        raise ValueError(f"slot {slot} outside [0, {period})")
-    solution = solve_restricted(dim, restriction, order)
-    matrix, escaping_rhs = build_system(dim, restriction, order)
-    slots = [
-        (shift_distance(r, anchor_reduced, period) + slot) % period
-        for r in restriction.residues
-    ]
-    vec = [
-        solution.series[r].multisection(period, l)
-        for r, l in zip(restriction.residues, slots)
-    ]
-    rhs = [series.multisection(period, l) for series, l in zip(escaping_rhs, slots)]
-    return matrix.mul_vec(vec) == rhs
-
-
-def period_two_closed_form(dim: int, order: int) -> TruncatedSeries:
-    """Even multisection of the walk series for the restriction ({0}, 2).
-
-    With a single admissible residue the system is one equation, so the even
-    part of the solution is the even part of the escaping series divided by
-    one minus the even part of the simple-loop series, which is the even part
-    of the reciprocal loop series.
-    """
-    model = LoopModel(dim, order)
-    escaping_even = model.escaping_gf().multisection(2, 0)
-    return escaping_even * model.reciprocal_loop_gf().multisection(2, 0).inverse()

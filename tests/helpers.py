@@ -3,21 +3,24 @@
 Everything here is computed by a different route than the library code it
 checks: closed-form binomials, the binomial series for square roots, and a
 step-by-step polygon walk for cyclic distances.  The matrix helpers
-build identity matrices and matrix products entry by entry,
-``odd_length_count`` reads one value off an oracle table, and
+build identity matrices, matrix products and matrix-vector products entry by
+entry, ``odd_length_count`` reads one value off an oracle table, and
 ``payload_to_series`` reads back the exact coefficients of a CLI document.
 ``unfolded_counts`` is the reference for the folded oracle: the same dynamic
-program over every site of the unfolded grid.
+program over every site of the unfolded grid.  ``reduction_check`` and
+``period_two_closed_form`` test the solved series against the system they
+solve, by multisection.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import comb
 
+from lattice_gf.loops import LoopModel
 from lattice_gf.oracle import count_odd_length
-from lattice_gf.periodic import PeriodicSet
+from lattice_gf.periodic import PeriodicSet, shift_distance
 from lattice_gf.series import TruncatedSeries
-from lattice_gf.system import SeriesMatrix
+from lattice_gf.system import SeriesMatrix, build_system, solve_restricted
 
 
 def catalan(n: int) -> int:
@@ -28,14 +31,16 @@ def central_binomial(n: int) -> int:
     return comb(2 * n, n)
 
 
-def sqrt_one_minus_4t(order: int) -> list[Fraction]:
-    """Coefficients of (1-4t)**(1/2) from the binomial series."""
-    coeffs = [Fraction(1)]
+def sqrt_one_minus_4t(order: int) -> list[int]:
+    """Coefficients of (1-4t)**(1/2) from the binomial series, computed over
+    the rationals; every one of them is an integer."""
+    coeffs = [1]
     term = Fraction(1)
     for k in range(1, order):
         # binom(1/2, k) / binom(1/2, k-1) = (3 - 2k) / (2k), times (-4)**1
         term *= Fraction(3 - 2 * k, 2 * k) * (-4)
-        coeffs.append(term)
+        assert term.denominator == 1
+        coeffs.append(term.numerator)
     return coeffs
 
 
@@ -71,6 +76,64 @@ def matmul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
     return SeriesMatrix(rows)
 
 
+def mul_vec(matrix: SeriesMatrix, vec) -> list[TruncatedSeries]:
+    """Matrix times a vector of series, by the schoolbook formula."""
+    if len(vec) != matrix.n:
+        raise ValueError("vector length does not match the matrix size")
+    out = []
+    for row in matrix.rows:
+        acc = TruncatedSeries.zero(matrix.order)
+        for entry, x in zip(row, vec):
+            acc = acc + entry * x
+        out.append(acc)
+    return out
+
+
+def reduction_check(
+    dim: int, restriction: PeriodicSet, anchor: int, slot: int, order: int
+) -> bool:
+    """Verify that one multisection of each solved series solves the same
+    system with multisected right-hand side.
+
+    Taking the ``(period, l_r)``-multisection of the equation for residue
+    ``r`` with ``l_r = (shift_distance(r, anchor) + slot) mod period`` keeps
+    the unknowns aligned, because each matrix entry is supported on a single
+    residue class.  The anchor's own series contributes its
+    ``(period, slot)``-multisection.
+    """
+    period = restriction.period
+    anchor_reduced = anchor % period
+    if anchor_reduced not in restriction.residues:
+        raise ValueError(f"anchor residue {anchor} is not admissible")
+    if not 0 <= slot < period:
+        raise ValueError(f"slot {slot} outside [0, {period})")
+    solution = solve_restricted(dim, restriction, order)
+    matrix, escaping_rhs = build_system(dim, restriction, order)
+    slots = [
+        (shift_distance(r, anchor_reduced, period) + slot) % period
+        for r in restriction.residues
+    ]
+    vec = [
+        solution.series[r].multisection(period, l)
+        for r, l in zip(restriction.residues, slots)
+    ]
+    rhs = [series.multisection(period, l) for series, l in zip(escaping_rhs, slots)]
+    return mul_vec(matrix, vec) == rhs
+
+
+def period_two_closed_form(dim: int, order: int) -> TruncatedSeries:
+    """Even multisection of the walk series for the restriction ({0}, 2).
+
+    With a single admissible residue the system is one equation, so the even
+    part of the solution is the even part of the escaping series divided by
+    one minus the even part of the simple-loop series, which is the even part
+    of the reciprocal loop series.
+    """
+    model = LoopModel(dim, order)
+    escaping_even = model.escaping_gf().multisection(2, 0)
+    return escaping_even * model.reciprocal_loop_gf().multisection(2, 0).inverse()
+
+
 def odd_length_count(
     dim: int, restriction: PeriodicSet, half_len: int, max_cells: int | None = None
 ) -> int:
@@ -79,10 +142,10 @@ def odd_length_count(
 
 
 def payload_to_series(payload) -> TruncatedSeries:
-    """Rebuild a series from ``lattice_gf.cli.series_to_payload`` output."""
-    return TruncatedSeries(
-        Fraction(int(item["n"]), int(item["d"])) for item in payload
-    )
+    """Rebuild a series from ``lattice_gf.cli.series_to_payload`` output;
+    every coefficient is an integer, so every denominator reads "1"."""
+    assert all(item["d"] == "1" for item in payload), payload
+    return TruncatedSeries(int(item["n"]) for item in payload)
 
 
 def unfolded_walk(dim: int, max_half_len: int, allow_touch) -> tuple[list, list, list]:

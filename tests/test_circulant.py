@@ -1,7 +1,5 @@
 """Tests for circulant matrices of multisections and the determinant chain."""
 
-from fractions import Fraction
-
 import pytest
 
 from lattice_gf.circulant import (
@@ -23,7 +21,7 @@ from helpers import identity_matrix, matmul
 
 
 def series(values):
-    return TruncatedSeries([Fraction(v) for v in values])
+    return TruncatedSeries(values)
 
 
 # (dim, n) pairs for the cross-checks of the circulant constructions.
@@ -130,6 +128,13 @@ class TestDeterminant:
         t = TruncatedSeries.monomial(1, 1, 4)
         with pytest.raises(ArithmeticError):
             series_determinant(SeriesMatrix([[t]]))
+
+    def test_non_unit_pivot_rejected(self):
+        # The determinant 4 is an integer, but its pivots 2 and 2 are not
+        # units of Z[[t]], so elimination refuses the first of them.
+        two, zero = TruncatedSeries.constant(2, 3), TruncatedSeries.zero(3)
+        with pytest.raises(ArithmeticError, match="pivot 0 has constant term 2"):
+            series_determinant(SeriesMatrix([[two, zero], [zero, two]]))
 
     def test_restriction_determinant_is_unit(self):
         det = series_determinant(restriction_circulant(1, 4, 8))

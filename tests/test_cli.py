@@ -5,7 +5,6 @@ import io
 import json
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -45,12 +44,14 @@ def run_cli(capsys, *argv):
 
 class TestSerialization:
     def test_payload_round_trip(self):
-        s = TruncatedSeries([Fraction(1), Fraction(-3, 7), Fraction(0)])
+        s = TruncatedSeries([1, -3, 0, 13497847926592 ** 3])
         assert payload_to_series(series_to_payload(s)) == s
 
     def test_payload_is_exact_strings(self):
-        s = TruncatedSeries([Fraction(2, 3)])
-        assert series_to_payload(s) == [{"n": "2", "d": "3"}]
+        s = TruncatedSeries([-7, 0, 2**70])
+        assert series_to_payload(s) == [
+            {"n": "-7", "d": "1"}, {"n": "0", "d": "1"},
+            {"n": "1180591620717411303424", "d": "1"}]
 
 
 class TestOutputStability:
@@ -120,6 +121,16 @@ class TestGfCommand:
         document = json.loads(target.read_text())
         assert document["residues"] == [0, 1]
         assert document["period"] == 4
+
+    def test_period_far_beyond_the_order(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "gf", "--dim", "1", "--residues", "0", "--period",
+            "1000000000000", "--order", "5")
+        assert code == 0
+        document = json.loads(out)
+        assert document["period"] == 10**12
+        series = payload_to_series(document["coefficients"])
+        assert series.coeffs == (1, 2, 6, 20, 70)
 
     def test_start_residue_recorded_reduced(self, capsys):
         code, out, _ = run_cli(

@@ -1,8 +1,10 @@
-"""The package runs on the Python standard library alone, and keeps every
-name the benchmark harness in ``perfbench/`` reaches into."""
+"""The package runs on the Python standard library alone, its CLI loads no
+number type but ``int``, and it keeps every name the benchmark harness in
+``perfbench/`` reaches into."""
 
 import ast
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,6 +30,18 @@ def test_imports_are_standard_library(path):
 
 def test_sources_found():
     assert len(SOURCES) >= 10
+
+
+def test_cli_import_loads_no_rational_arithmetic():
+    # Coefficients live in Z[[t]], so no command needs the modules of other
+    # number types; their import would only lengthen every start-up.
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import lattice_gf.cli, sys; print(sorted({'fractions', 'decimal', 'numbers'}"
+         " & set(sys.modules)))"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_no_runtime_dependencies():

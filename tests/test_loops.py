@@ -1,13 +1,18 @@
 """Tests for loop, primitive-excursion, and escaping generating functions."""
 
-from math import comb
-
 import pytest
 
 from lattice_gf.errors import ResourceLimitError
-from lattice_gf.loops import LoopModel, loop_count
+from lattice_gf.loops import LoopModel
 from lattice_gf.oracle import count_escaping, count_loops, count_simple_loops
 from lattice_gf.series import TruncatedSeries
+
+from helpers import central_binomial
+
+
+def loop_count(dim, k):
+    """Number of length-``2k`` loops of the origin, read off the loop series."""
+    return LoopModel(dim, k + 1).loop_gf().coefficient(k)
 
 
 class TestLoopCounts:
@@ -23,7 +28,7 @@ class TestLoopCounts:
     def test_product_structure(self):
         for dim in (1, 2, 3):
             for k in range(7):
-                assert loop_count(dim, k) == comb(2 * k, k) ** dim
+                assert loop_count(dim, k) == central_binomial(k) ** dim
 
 
 class TestLoopModel:
@@ -106,7 +111,7 @@ class TestReciprocalLayer:
         order = 60
         model = LoopModel(dim=dim, order=order)
         loop_gf = model.loop_gf()
-        assert loop_gf.coeffs == tuple(loop_count(dim, k) for k in range(order))
+        assert loop_gf.coeffs == tuple(central_binomial(k) ** dim for k in range(order))
         assert model.reciprocal_loop_gf() == loop_gf.inverse()
         # The escaping series by its defining division, 1 / (L (1 - 4^d t)).
         drift = TruncatedSeries.one(order) - TruncatedSeries.monomial(4 ** dim, 1, order)

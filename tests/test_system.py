@@ -1,7 +1,5 @@
 """Tests for the restricted-walk linear system and its solutions."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,14 +13,12 @@ from lattice_gf.system import (
     SeriesMatrix,
     build_system,
     check_walk_series,
-    period_two_closed_form,
-    reduction_check,
     restricted_path_gf,
     solve_linear_system,
     solve_restricted,
 )
 
-from helpers import identity_matrix
+from helpers import identity_matrix, mul_vec, period_two_closed_form, reduction_check
 
 
 def gf_counts(dim, restriction, order):
@@ -32,7 +28,7 @@ def gf_counts(dim, restriction, order):
 
 def dp_counts(dim, restriction, order):
     table = count_restricted(dim, restriction, max_half_len=order - 1)
-    return tuple(Fraction(c) for c in table.counts)
+    return tuple(table.counts)
 
 
 def first_difference(got, want):
@@ -110,7 +106,7 @@ class TestSystemAssembly:
         restriction = PeriodicSet((0, 2), 5)
         matrix, rhs = build_system(dim, restriction, order)
         solution = solve_linear_system(matrix, rhs)
-        assert matrix.mul_vec(solution) == rhs
+        assert mul_vec(matrix, solution) == rhs
 
     def test_identity_solve(self):
         order = 5
@@ -153,6 +149,20 @@ class TestSystemAssembly:
         matrix = SeriesMatrix([[t, zero], [zero, t]])
         with pytest.raises(ArithmeticError):
             solve_linear_system(matrix, [zero, zero])
+
+    def test_non_unit_pivot_rejected(self):
+        order = 3
+        zero, one = TruncatedSeries.zero(order), TruncatedSeries.one(order)
+        two = TruncatedSeries.constant(2, order)
+        matrix = SeriesMatrix([[one, zero], [zero, two]])
+        with pytest.raises(ArithmeticError, match="pivot 1 has constant term 2"):
+            solve_linear_system(matrix, [one, one])
+
+    def test_minus_one_pivot_is_a_unit(self):
+        order = 4
+        minus_one = TruncatedSeries.constant(-1, order)
+        rhs = TruncatedSeries([1, 2, 3, 4])
+        assert solve_linear_system(SeriesMatrix([[minus_one]]), [rhs]) == [-rhs]
 
 
 class TestGradedSolve:
@@ -245,8 +255,7 @@ class TestRestrictedGf:
     def test_unrestricted_walks(self):
         for dim in (1, 2):
             gf = restricted_path_gf(dim, PeriodicSet.full(1), 0, 6)
-            assert gf.coeffs == tuple(
-                Fraction((2 * dim) ** (2 * k)) for k in range(6))
+            assert gf.coeffs == tuple((2 * dim) ** (2 * k) for k in range(6))
 
     def test_alternating_set_dim1(self):
         gf = restricted_path_gf(1, hajnal_nagy_set(1), 0, 7)
@@ -274,6 +283,15 @@ class TestRestrictedGf:
         a = restricted_path_gf(1, restriction, 2, 8)
         b = restricted_path_gf(1, restriction, 7, 8)
         assert a == b
+
+    def test_period_far_beyond_the_order(self):
+        # Elimination sizes only the residue classes that occur, so a period
+        # of 10**12 costs what a small one does.
+        huge = PeriodicSet((0,), 10**12)
+        gf = restricted_path_gf(1, huge, 0, 5)
+        assert gf == restricted_path_gf(1, PeriodicSet((0,), 5), 0, 5)
+        assert gf.coeffs == tuple(count_restricted(1, huge, 4).counts)
+        assert gf.coeffs == (1, 2, 6, 20, 70)
 
     def test_inadmissible_start_rejected(self):
         with pytest.raises(ValueError):
@@ -307,8 +325,6 @@ class TestWalkSeriesCheck:
     @pytest.mark.parametrize("coeffs, index", [
         ([1, 2, -3], 2),
         ([2, 2, 3], 0),
-        ([1, Fraction(1, 2), 3], 1),
-        ([1, 2, Fraction(8)], 2),
     ])
     def test_rejects_bad_series(self, coeffs, index):
         bad = coeffs[index]
@@ -336,7 +352,7 @@ class TestClosedFormPeriodTwo:
         expected = (1, 0, 192, 0, 45056, 0, 10979328, 0, 2716942336,
                     0, 677907697664, 0, 170013263888384)
         closed = period_two_closed_form(2, 13)
-        assert closed.coeffs == tuple(Fraction(c) for c in expected)
+        assert closed.coeffs == expected
 
 
 class TestReduction:
