@@ -13,16 +13,14 @@ determinant collapses to ``sqrt(1 - (4t)**(2k))``.
 Entry ``(i, j)`` of these circulants is the ``(n, j - i)`` multisection of a
 series, so the builders declare the grading ``(n, (0, ..., n-1))`` of
 ``SeriesMatrix``; the upper-left quarter keeps the first half of the labels,
-and ``series_determinant`` runs the elimination kernel of ``system`` on it,
-keeping each entry as a series in ``t**n``.
+and ``system.series_determinant`` runs the elimination kernel on it, keeping
+each entry as a series in ``t**n``.
 """
-
-from __future__ import annotations
 
 from .loops import LoopModel
 from .periodic import hajnal_nagy_set
 from .series import TruncatedSeries, inv_sqrt_one_minus_monomial
-from .system import SeriesMatrix, _eliminate, restricted_path_gf
+from .system import SeriesMatrix, restricted_path_gf, series_determinant
 
 
 def _graded_circulant(series: TruncatedSeries, n: int) -> SeriesMatrix:
@@ -57,28 +55,11 @@ def row_relation_check(dim: int, n: int, order: int) -> bool:
     """
     restriction_row = restriction_circulant(dim, n, order).rows[0]
     escaping_row = escaping_circulant(dim, n, order).rows[0]
-    weight = 4**dim
+    step = TruncatedSeries.monomial(4**dim, 1, order)
     return all(
-        escaping_row[j] - restriction_row[j]
-        == escaping_row[(j - 1) % n].shift_by_monomial(weight, 1)
+        escaping_row[j] - restriction_row[j] == escaping_row[(j - 1) % n] * step
         for j in range(n)
     )
-
-
-def series_determinant(matrix: SeriesMatrix) -> TruncatedSeries:
-    """Exact determinant by elimination; every pivot must be a unit.
-
-    The determinant is the product of the pivots on the diagonal of the
-    triangular form.  They lie in class 0 of the matrix grading, so the
-    product is taken in ``u = t**period`` and expanded back to ``t``.
-    """
-    rows, _, _ = _eliminate(matrix)
-    det = TruncatedSeries(rows[0][0])
-    for i in range(1, matrix.n):
-        det = det * TruncatedSeries(rows[i][i])
-    coeffs = [0] * matrix.order
-    coeffs[:: matrix.grading[0]] = det.coeffs
-    return TruncatedSeries(coeffs)
 
 
 def quarter(matrix: SeriesMatrix) -> SeriesMatrix:

@@ -14,8 +14,6 @@ numerator and denominator strings; coefficients are integers, so the
 denominator is always "1".
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import io
@@ -210,14 +208,12 @@ def cmd_compare(args) -> int:
     return 0 if all_equal else 1
 
 
-def _closed_form_check(k: int, order: int, corrupt: bool) -> tuple[bool, str]:
+def _closed_form_check(k: int, order: int) -> tuple[bool, str]:
     """The ``(2k, 0)`` multisection of the staircase walk series against the
     expansion of ``1/sqrt(1 - (4t)**(2k))``; on failure the detail names the
     first differing index and both values."""
     solved = restricted_path_gf(1, hajnal_nagy_set(k), 0, order).multisection(2 * k, 0)
-    target = list(inv_sqrt_one_minus_monomial(4 ** (2 * k), 2 * k, order).coeffs)
-    if corrupt:
-        target[min(2 * k, order - 1)] += 1
+    target = inv_sqrt_one_minus_monomial(4 ** (2 * k), 2 * k, order).coeffs
     for j, (got, want) in enumerate(zip(solved.coeffs, target)):
         if got != want:
             return False, f" (first differing index {j}: solved {got}, closed form {want})"
@@ -227,7 +223,7 @@ def _closed_form_check(k: int, order: int, corrupt: bool) -> tuple[bool, str]:
 def _identity_checks(args, k: int):
     """``(name, ok, detail)`` for each identity at staircase size ``k``."""
     if args.command == "verify-hn":
-        yield ("closed-form multisection", *_closed_form_check(k, args.order, args.corrupt))
+        yield ("closed-form multisection", *_closed_form_check(k, args.order))
     yield "row relation", row_relation_check(args.dim, 2 * k, args.order), ""
     yield "column substitution", column_substitution_check(args.dim, k, args.order), ""
     yield "cramer ratio", cramer_ratio_check(args.dim, k, args.order), ""
@@ -303,11 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_hn = subs.add_parser("verify-hn", help="one-dimensional identity chain")
     _add_verify_flags(verify_hn)
-    verify_hn.add_argument(
-        "--corrupt",
-        action="store_true",
-        help="testing aid: corrupt one expected coefficient to exercise failure reporting",
-    )
     verify_hn.set_defaults(dim=1)
 
     verify_circ = subs.add_parser("verify-circulant", help="circulant relations")

@@ -30,11 +30,6 @@ consecutive visits of the space origin a walk is exactly a simple loop, and
 after the last visit it is escaping.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
-
 from .errors import ResourceLimitError
 from .series import TruncatedSeries
 
@@ -44,22 +39,21 @@ from .series import TruncatedSeries
 MAX_GF_DIM = 4
 
 
-@dataclass(frozen=True)
 class LoopModel:
     """Dimension and truncation order for the loop generating functions."""
 
-    dim: int
-    order: int
+    __slots__ = ("dim", "order", "_reciprocal")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, order: int):
+        if dim < 1:
             raise ValueError("dimension must be positive")
-        if self.order < 1:
+        if order < 1:
             raise ValueError("truncation order must be positive")
-        if self.dim > MAX_GF_DIM:
-            raise ResourceLimitError(
-                f"dimension {self.dim} exceeds the bound {MAX_GF_DIM}"
-            )
+        if dim > MAX_GF_DIM:
+            raise ResourceLimitError(f"dimension {dim} exceeds the bound {MAX_GF_DIM}")
+        self.dim = dim
+        self.order = order
+        self._reciprocal = None
 
     def loop_gf(self) -> TruncatedSeries:
         """Series whose coefficient at ``t**k`` counts length-``2k`` loops."""
@@ -73,11 +67,9 @@ class LoopModel:
 
     def reciprocal_loop_gf(self) -> TruncatedSeries:
         """``1 / loop_gf``, inverted on first use and kept on the model."""
+        if self._reciprocal is None:
+            self._reciprocal = self.loop_gf().inverse()
         return self._reciprocal
-
-    @cached_property
-    def _reciprocal(self) -> TruncatedSeries:
-        return self.loop_gf().inverse()
 
     def primitive_excursion_gf(self) -> TruncatedSeries:
         """Series counting simple loops, ``1 - 1/loop_gf``."""

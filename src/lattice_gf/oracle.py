@@ -30,11 +30,8 @@ Every walk has ``2**d`` continuations, so after each step the total mass is
 this mass balance at every step and raises ``ArithmeticError`` if it fails.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections.abc import Callable
 from operator import add
-from typing import Callable, Optional
 
 from .errors import ResourceLimitError
 from .periodic import PeriodicSet
@@ -44,13 +41,15 @@ DEFAULT_MAX_CELLS = 200_000
 MAX_ORACLE_DIM = 3
 
 
-@dataclass(frozen=True, eq=False)
 class PathCountTable:
     """Exact walk counts indexed by half-length ``k`` (path length ``2k``)."""
 
-    dim: int
-    restriction: Optional[PeriodicSet]
-    counts: tuple[int, ...]
+    __slots__ = ("dim", "restriction", "counts")
+
+    def __init__(self, dim: int, restriction: PeriodicSet | None, counts: tuple[int, ...]):
+        self.dim = dim
+        self.restriction = restriction
+        self.counts = counts
 
     def __getitem__(self, k: int) -> int:
         return self.counts[k]
@@ -59,7 +58,7 @@ class PathCountTable:
         return len(self.counts)
 
 
-def _check_budget(dim: int, max_half_len: int, max_cells: Optional[int]) -> None:
+def _check_budget(dim: int, max_half_len: int, max_cells: int | None) -> None:
     if dim < 1:
         raise ValueError("dimension must be positive")
     if max_half_len < 0:
@@ -124,7 +123,7 @@ def _origin_walk(
     dim: int,
     max_half_len: int,
     allow_touch: Callable[[int], bool],
-    max_cells: Optional[int],
+    max_cells: int | None,
 ):
     """Run the DP and collect, per half-length k:
 
@@ -164,7 +163,7 @@ def count_restricted(
     dim: int,
     restriction: PeriodicSet,
     max_half_len: int,
-    max_cells: Optional[int] = None,
+    max_cells: int | None = None,
 ) -> PathCountTable:
     """Walks from the origin whose origin visits all fall at admissible times."""
     _, totals, _ = _origin_walk(
@@ -174,7 +173,7 @@ def count_restricted(
 
 
 def count_loops(
-    dim: int, max_half_len: int, max_cells: Optional[int] = None
+    dim: int, max_half_len: int, max_cells: int | None = None
 ) -> PathCountTable:
     """Walks from the origin back to the origin, no restriction."""
     origins, _, _ = _origin_walk(dim, max_half_len, lambda k: True, max_cells)
@@ -182,7 +181,7 @@ def count_loops(
 
 
 def count_simple_loops(
-    dim: int, max_half_len: int, max_cells: Optional[int] = None
+    dim: int, max_half_len: int, max_cells: int | None = None
 ) -> PathCountTable:
     """Loops whose only intermediate origin visit is the final one."""
     origins, _, _ = _origin_walk(dim, max_half_len, lambda k: False, max_cells)
@@ -192,7 +191,7 @@ def count_simple_loops(
 
 
 def count_escaping(
-    dim: int, max_half_len: int, max_cells: Optional[int] = None
+    dim: int, max_half_len: int, max_cells: int | None = None
 ) -> PathCountTable:
     """Walks that never occupy the origin again after their start."""
     _, totals, _ = _origin_walk(dim, max_half_len, lambda k: False, max_cells)
@@ -203,7 +202,7 @@ def count_odd_length(
     dim: int,
     restriction: PeriodicSet,
     max_half_len: int,
-    max_cells: Optional[int] = None,
+    max_cells: int | None = None,
 ) -> PathCountTable:
     """Restricted walks of odd length ``2k + 1``, indexed by ``k``.
 

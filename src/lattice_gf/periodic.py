@@ -6,35 +6,52 @@ fixed period at which touching the origin is allowed.  Residue 0 is always
 admissible because every walk starts on the axis.
 """
 
-from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
-
-@dataclass(frozen=True)
 class PeriodicSet:
-    """Admissible residues on the half-time axis, repeating with ``period``."""
+    """Admissible residues on the half-time axis, repeating with ``period``.
 
-    residues: tuple[int, ...]
-    period: int
+    Immutable, and equal and hashable by value: it keys the solution cache.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.period, int) or self.period < 1:
+    __slots__ = ("residues", "period")
+
+    def __init__(self, residues, period: int):
+        if not isinstance(period, int) or period < 1:
             raise ValueError("period must be a positive integer")
-        res = tuple(self.residues)
+        res = tuple(residues)
         if not res:
             raise ValueError("at least one admissible residue is required")
         if any(not isinstance(a, int) for a in res):
             raise ValueError("residues must be integers")
         if len(set(res)) != len(res):
             raise ValueError(f"duplicate residues in {res!r}")
-        if any(a < 0 or a >= self.period for a in res):
-            raise ValueError(f"residues must lie in [0, {self.period})")
+        if any(a < 0 or a >= period for a in res):
+            raise ValueError(f"residues must lie in [0, {period})")
         res = tuple(sorted(res))
         if res[0] != 0:
             raise ValueError("residue 0 must be admissible")
         object.__setattr__(self, "residues", res)
+        object.__setattr__(self, "period", period)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return PeriodicSet, (self.residues, self.period)
+
+    def __eq__(self, other):
+        if not isinstance(other, PeriodicSet):
+            return NotImplemented
+        return self.residues == other.residues and self.period == other.period
+
+    def __hash__(self):
+        return hash((self.residues, self.period))
+
+    def __repr__(self):
+        return f"PeriodicSet(residues={self.residues!r}, period={self.period!r})"
 
     @classmethod
     def full(cls, period: int) -> "PeriodicSet":

@@ -18,11 +18,9 @@ for two lattice steps, so the coefficient at index ``j`` counts objects of
 path length ``2j``.
 """
 
-from __future__ import annotations
-
+from collections.abc import Iterable
 from math import comb
 from operator import add, index, neg, sub
-from typing import Iterable
 
 _INT = frozenset((int,))
 
@@ -92,6 +90,7 @@ class TruncatedSeries:
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
         row = [0] * order
+        coeff = index(coeff)
         if exponent < order:
             row[exponent] = coeff
         return cls(row)
@@ -169,7 +168,7 @@ class TruncatedSeries:
             out.append(-a0 * acc)
         return TruncatedSeries(out)
 
-    # -- multisection and shifts --------------------------------------------
+    # -- multisection -------------------------------------------------------
 
     def multisection(self, q: int, r: int) -> "TruncatedSeries":
         """Keep the coefficients at indices congruent to r mod q, zero the rest.
@@ -191,16 +190,6 @@ class TruncatedSeries:
         cs = self.coeffs
         section = cs[r::q]
         return cs.count(0) - section.count(0) == len(cs) - len(section)
-
-    def shift_by_monomial(self, coeff: int, exponent: int) -> "TruncatedSeries":
-        """Multiply by ``coeff * t**exponent``, truncating at the same order."""
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        n = self.order
-        out = [0] * n
-        for j in range(exponent, n):
-            out[j] = coeff * self.coeffs[j - exponent]
-        return TruncatedSeries(out)
 
     # -- comparisons ----------------------------------------------------------
 

@@ -22,17 +22,14 @@ mod the period, so it is ``t**c`` times a series in ``u = t**period``.  A
 ``SeriesMatrix`` records such a grading as ``(period, labels)``: entry
 ``(i, j)`` lives on exponents congruent to ``labels[j] - labels[i]``.
 Elimination keeps the grading, so the one kernel ``_eliminate``, shared by
-``solve_linear_system`` and the circulant determinants, stores each entry as
-its ``u``-coefficients only, about ``order / period`` of them.  A matrix
+``solve_linear_system`` and ``series_determinant``, stores each entry as its
+``u``-coefficients only, about ``order / period`` of them.  A matrix
 without structure has the trivial grading ``(1, (0, ..., 0))``, under which
 the same kernel is plain dense elimination.
 """
 
-from __future__ import annotations
-
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .loops import LoopModel
 from .periodic import PeriodicSet, shift_distance
@@ -127,10 +124,8 @@ def _eliminate(matrix: SeriesMatrix, rhs: Sequence[TruncatedSeries] = ()):
     must be a unit of ``Z[[u]]``, constant term +-1.
     """
     period, labels = matrix.grading
-    n, order = matrix.n, matrix.order
+    n = matrix.n
     classes = [[(lb - la) % period for lb in labels] for la in labels]
-    # Length of each class that occurs, not of every class of the period.
-    sizes = {c: len(range(c, order, period)) for row in classes for c in row}
     rows = [
         [entry.coeffs[c::period] for entry, c in zip(row, row_classes)]
         for row, row_classes in zip(matrix.rows, classes)
@@ -149,20 +144,36 @@ def _eliminate(matrix: SeriesMatrix, rhs: Sequence[TruncatedSeries] = ()):
         row_i = rows[i]
         for j in range(i + 1, n):
             c = classes[j][i]
-            factor = product_coeffs(rows[j][i], inv, sizes[c])
+            row_j = rows[j]
+            factor = product_coeffs(row_j[i], inv, len(row_j[i]))
             if not any(factor):
                 continue
-            row_j = rows[j]
             for m in range(i + 1, n):
                 # t**c f times t**b g is t**((c + b) % period) times
                 # u**carry f g, where the carry is 1 when c + b >= period.
                 carry = c + classes[i][m] >= period
-                product = product_coeffs(factor, row_i[m], sizes[classes[j][m]], carry)
+                product = product_coeffs(factor, row_i[m], len(row_j[m]), carry)
                 row_j[m] = [x - y for x, y in zip(row_j[m], product)]
             if vec:
                 product = _dense_product(c, factor, vec[i], period)
                 vec[j] = [x - y for x, y in zip(vec[j], product)]
     return rows, inverses, vec
+
+
+def series_determinant(matrix: SeriesMatrix) -> TruncatedSeries:
+    """Exact determinant by elimination; every pivot must be a unit.
+
+    The determinant is the product of the pivots on the diagonal of the
+    triangular form.  They lie in class 0 of the matrix grading, so the
+    product is taken in ``u = t**period`` and expanded back to ``t``.
+    """
+    rows, _, _ = _eliminate(matrix)
+    det = TruncatedSeries(rows[0][0])
+    for i in range(1, matrix.n):
+        det = det * TruncatedSeries(rows[i][i])
+    coeffs = [0] * matrix.order
+    coeffs[:: matrix.grading[0]] = det.coeffs
+    return TruncatedSeries(coeffs)
 
 
 def build_system(dim: int, restriction: PeriodicSet, order: int):
@@ -212,13 +223,15 @@ def solve_linear_system(
     return [TruncatedSeries(coeffs) for coeffs in out]
 
 
-@dataclass(frozen=True, eq=False)
 class RestrictedPathSolution:
     """Solved walk series per admissible start residue."""
 
-    restriction: PeriodicSet
-    dim: int
-    series: dict[int, TruncatedSeries]
+    __slots__ = ("restriction", "dim", "series")
+
+    def __init__(self, restriction: PeriodicSet, dim: int, series: dict[int, TruncatedSeries]):
+        self.restriction = restriction
+        self.dim = dim
+        self.series = series
 
 
 def check_walk_series(residue: int, series: TruncatedSeries) -> None:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import payload_to_series
+from lattice_gf import cli
 from lattice_gf.cli import main, series_to_payload
 from lattice_gf.periodic import PeriodicSet
 from lattice_gf.series import TruncatedSeries
@@ -40,6 +41,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def corrupt_closed_form(monkeypatch):
+    """Make ``verify-hn``'s closed form wrong by one at index
+    ``min(2k, order - 1)``, the first index where the staircase series and
+    its closed form can differ, so the check has to report a failure."""
+    original = cli.inv_sqrt_one_minus_monomial
+
+    def corrupted(coeff, exponent, order):
+        coeffs = list(original(coeff, exponent, order).coeffs)
+        coeffs[min(exponent, order - 1)] += 1
+        return TruncatedSeries(coeffs)
+
+    monkeypatch.setattr(cli, "inv_sqrt_one_minus_monomial", corrupted)
 
 
 class TestSerialization:
@@ -310,12 +325,19 @@ class TestVerifyCommands:
         assert "k=2 determinant chain PASS" in out
         assert "all checks passed" in out
 
-    def test_verify_hn_corrupt_negative_control(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify-hn", "--k-max", "1", "--order", "12", "--corrupt")
+    def test_verify_hn_corrupt_negative_control(self, capsys, monkeypatch):
+        corrupt_closed_form(monkeypatch)
+        code, out, _ = run_cli(capsys, "verify-hn", "--k-max", "1", "--order", "12")
         assert code == 1
         assert "FAIL" in out
         assert "first differing index 2" in out
+
+    def test_corrupt_flag_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify-hn", "--k-max", "1", "--order", "12", "--corrupt")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --corrupt" in err
 
     def test_verify_circulant_dim2(self, capsys):
         code, out, _ = run_cli(
@@ -368,8 +390,9 @@ class TestPinnedText:
             "verify-hn: all checks passed\n",
             "",
         ),
+        # Run with the closed form corrupted by ``corrupt_closed_form``.
         "verify-hn-corrupt": (
-            ("verify-hn", "--k-max", "1", "--order", "12", "--corrupt"), 1,
+            ("verify-hn", "--k-max", "1", "--order", "12"), 1,
             "k=1 closed-form multisection FAIL"
             " (first differing index 2: solved 8, closed form 9)\n"
             "k=1 row relation PASS\n"
@@ -444,8 +467,10 @@ class TestPinnedText:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_output_pinned(self, capsys, case):
+    def test_output_pinned(self, capsys, monkeypatch, case):
         argv, want_code, want_out, want_err = self.CASES[case]
+        if case == "verify-hn-corrupt":
+            corrupt_closed_form(monkeypatch)
         assert run_cli(capsys, *argv) == (want_code, want_out, want_err)
 
 

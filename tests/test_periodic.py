@@ -1,9 +1,13 @@
 """Tests for periodic admissible-time sets and cyclic shift distances."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lattice_gf import system
 from lattice_gf.periodic import PeriodicSet, hajnal_nagy_set, shift_distance
 
 from helpers import polygon_distance
@@ -46,6 +50,54 @@ class TestValidation:
         assert full.residues == (0, 1, 2)
         assert full.is_full
         assert not PeriodicSet((0, 2), 3).is_full
+
+
+class TestValueSemantics:
+    """A set keys the solution cache and appears in error messages."""
+
+    def test_repr_pinned(self):
+        assert repr(PeriodicSet((0, 2), 5)) == "PeriodicSet(residues=(0, 2), period=5)"
+        assert repr(PeriodicSet([3, 0, 1], 4)) == "PeriodicSet(residues=(0, 1, 3), period=4)"
+        assert str(PeriodicSet((0,), 2)) == "PeriodicSet(residues=(0,), period=2)"
+
+    def test_equal_by_value(self):
+        a, b = PeriodicSet((0, 2), 5), PeriodicSet([2, 0], 5)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert not a != b
+
+    def test_unequal_sets_differ(self):
+        a = PeriodicSet((0, 2), 5)
+        for other in (PeriodicSet((0, 3), 5), PeriodicSet((0, 2), 6),
+                      PeriodicSet((0,), 5), ((0, 2), 5), (0, 2)):
+            assert a != other
+            assert not a == other
+
+    @pytest.mark.parametrize("name, value", [("residues", (0, 1)), ("period", 7)])
+    def test_fields_cannot_be_assigned(self, name, value):
+        s = PeriodicSet((0, 2), 5)
+        with pytest.raises(AttributeError):
+            setattr(s, name, value)
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        assert s == PeriodicSet((0, 2), 5)
+
+    def test_copies_equal_the_original(self):
+        s = PeriodicSet((0, 1, 3), 7)
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s
+            assert repr(twin) == repr(s)
+
+    def test_equal_sets_share_one_cache_entry(self):
+        system._solutions.clear()
+        first = system.solve_restricted(1, PeriodicSet((0, 1), 3), 8)
+        again = system.solve_restricted(1, PeriodicSet([1, 0], 3), 8)
+        assert list(system._solutions) == [(1, PeriodicSet((0, 1), 3))]
+        assert again.series == first.series
+        system._solutions.clear()
 
 
 class TestAdmissibility:
