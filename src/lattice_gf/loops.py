@@ -22,8 +22,13 @@ the running sum ``escaping[k] = 4**d * escaping[k-1] + M[k]``.  For one and
 two dimensions ``4**d`` coincides with ``(2d)**2``, the form in which the
 factor is usually quoted.
 
-A ``LoopModel`` inverts ``M`` at most once and keeps it, so the simple-loop
-and escaping series of one model share a single inversion.
+``M`` is a per-process value: ``_reciprocals`` keeps, per dimension, ``M``
+at the highest order asked so far.  Every model of that dimension is served
+from it, a lower order by slicing, which is exact because inversion is
+causal; a higher order computes ``M`` again and replaces the entry.
+Dimension 1 needs no inversion at all: there ``M = sqrt(1 - 4t)``, whose
+coefficients ``-2 Catalan(k-1)`` follow the exact ratio recurrence
+``c_k = c_{k-1} * 2 (2k - 3) / k``.
 
 Both derived series feed the restricted-walk linear system: between two
 consecutive visits of the space origin a walk is exactly a simple loop, and
@@ -38,13 +43,33 @@ from .series import TruncatedSeries
 # from stalling a run.
 MAX_GF_DIM = 4
 
+# The reciprocal loop series per dimension, at the highest order computed so
+# far; the dimension check in LoopModel bounds it to MAX_GF_DIM entries.
+_reciprocals: dict = {}
+
+
+def _sqrt_one_minus_4t(order: int) -> TruncatedSeries:
+    """``sqrt(1 - 4t)``, the one-dimensional reciprocal loop series."""
+    coeffs = [1] * order
+    c = 1
+    for k in range(1, order):
+        # Exact: c_k = -2 Catalan(k - 1) is an integer.
+        c = c * 2 * (2 * k - 3) // k
+        coeffs[k] = c
+    return TruncatedSeries(coeffs)
+
 
 class LoopModel:
     """Dimension and truncation order for the loop generating functions."""
 
-    __slots__ = ("dim", "order", "_reciprocal")
+    __slots__ = ("dim", "order")
 
     def __init__(self, dim: int, order: int):
+        # Checked first: 2.0 and True hash like 2 and 1, so they would
+        # otherwise be served from the process-wide cache.
+        for name, value in (("dimension", dim), ("truncation order", order)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
         if dim < 1:
             raise ValueError("dimension must be positive")
         if order < 1:
@@ -53,7 +78,6 @@ class LoopModel:
             raise ResourceLimitError(f"dimension {dim} exceeds the bound {MAX_GF_DIM}")
         self.dim = dim
         self.order = order
-        self._reciprocal = None
 
     def loop_gf(self) -> TruncatedSeries:
         """Series whose coefficient at ``t**k`` counts length-``2k`` loops."""
@@ -66,10 +90,15 @@ class LoopModel:
         return TruncatedSeries(coeffs)
 
     def reciprocal_loop_gf(self) -> TruncatedSeries:
-        """``1 / loop_gf``, inverted on first use and kept on the model."""
-        if self._reciprocal is None:
-            self._reciprocal = self.loop_gf().inverse()
-        return self._reciprocal
+        """``1 / loop_gf``, served from the per-process cache ``_reciprocals``."""
+        dim, order = self.dim, self.order
+        cached = _reciprocals.get(dim)
+        if cached is None or cached.order < order:
+            cached = _sqrt_one_minus_4t(order) if dim == 1 else self.loop_gf().inverse()
+            _reciprocals[dim] = cached
+        if cached.order == order:
+            return cached
+        return TruncatedSeries(cached.coeffs[:order])
 
     def primitive_excursion_gf(self) -> TruncatedSeries:
         """Series counting simple loops, ``1 - 1/loop_gf``."""

@@ -16,12 +16,13 @@ class PeriodicSet:
     __slots__ = ("residues", "period")
 
     def __init__(self, residues, period: int):
-        if not isinstance(period, int) or period < 1:
+        # bool is an int subclass, but True would print where 1 is meant.
+        if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise ValueError("period must be a positive integer")
         res = tuple(residues)
         if not res:
             raise ValueError("at least one admissible residue is required")
-        if any(not isinstance(a, int) for a in res):
+        if any(not isinstance(a, int) or isinstance(a, bool) for a in res):
             raise ValueError("residues must be integers")
         if len(set(res)) != len(res):
             raise ValueError(f"duplicate residues in {res!r}")

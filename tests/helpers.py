@@ -9,12 +9,15 @@ entry, ``odd_length_count`` reads one value off an oracle table, and
 ``unfolded_counts`` is the reference for the folded oracle: the same dynamic
 program over every site of the unfolded grid.  ``reduction_check`` and
 ``period_two_closed_form`` test the solved series against the system they
-solve, by multisection.
+solve, by multisection.  ``load_benchmark_module`` imports a file of
+``perfbench/`` for the tests that pin what the benchmark reaches.
 """
 
+import importlib.util
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 from lattice_gf.loops import LoopModel
 from lattice_gf.oracle import count_odd_length
@@ -194,3 +197,13 @@ def unfolded_counts(
     if kind == "simple-loops":
         return [0] + origins[1:]
     return origins if kind == "loops" else totals
+
+
+def load_benchmark_module(name: str):
+    """``perfbench/<name>.py`` as a module; importing it runs no benchmark
+    and installs no tracer wrapper."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

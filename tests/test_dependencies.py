@@ -3,12 +3,13 @@ number type but ``int``, and it keeps every name the benchmark harness in
 ``perfbench/`` reaches into."""
 
 import ast
-import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import load_benchmark_module
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "lattice_gf").glob("*.py"))
@@ -60,19 +61,10 @@ def test_no_runtime_dependencies():
     assert project.get("dependencies", []) == []
 
 
-def load_benchmark_tracer():
-    """``perfbench/tracer.py`` as a module, without installing its wrappers."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_spans_resolve():
     # The tracer reports zero calls for a wrapped name that is gone, so a
     # removed public callable would silently empty its span.
-    for name, places in load_benchmark_tracer()._SPANS.items():
+    for name, places in load_benchmark_module("tracer")._SPANS.items():
         for owner, attr in places:
             assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
 

@@ -45,6 +45,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             PeriodicSet((0,), 0)
 
+    def test_bool_refused(self):
+        # bool subclasses int: PeriodicSet((False,), True) would equal and
+        # hash like PeriodicSet((0,), 1) but print residues=(False,).
+        with pytest.raises(ValueError, match="^period must be a positive integer$"):
+            PeriodicSet((0,), True)
+        with pytest.raises(ValueError, match="^residues must be integers$"):
+            PeriodicSet((False,), 1)
+        with pytest.raises(ValueError, match="^residues must be integers$"):
+            PeriodicSet((0, True), 2)
+
     def test_full_set(self):
         full = PeriodicSet.full(3)
         assert full.residues == (0, 1, 2)
