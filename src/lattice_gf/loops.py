@@ -59,23 +59,39 @@ def _sqrt_one_minus_4t(order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
+def check_dim_and_order(dim: int, order: int) -> None:
+    """Refuse a dimension or truncation order the loop series cannot take."""
+    # Types first: 2.0 and True hash like 2 and 1, so they would otherwise
+    # be served from a process-wide cache.
+    for name, value in (("dimension", dim), ("truncation order", order)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    if order < 1:
+        raise ValueError("truncation order must be positive")
+    if dim > MAX_GF_DIM:
+        raise ResourceLimitError(f"dimension {dim} exceeds the bound {MAX_GF_DIM}")
+
+
+def geometric_sum(coeffs, weight: int) -> TruncatedSeries:
+    """``f / (1 - weight t)`` for ``f`` given by its coefficients: the running
+    sum ``out[k] = weight * out[k-1] + f[k]``."""
+    out = []
+    acc = 0
+    for c in coeffs:
+        acc = acc * weight + c
+        out.append(acc)
+    return TruncatedSeries(out)
+
+
 class LoopModel:
     """Dimension and truncation order for the loop generating functions."""
 
     __slots__ = ("dim", "order")
 
     def __init__(self, dim: int, order: int):
-        # Checked first: 2.0 and True hash like 2 and 1, so they would
-        # otherwise be served from the process-wide cache.
-        for name, value in (("dimension", dim), ("truncation order", order)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        if order < 1:
-            raise ValueError("truncation order must be positive")
-        if dim > MAX_GF_DIM:
-            raise ResourceLimitError(f"dimension {dim} exceeds the bound {MAX_GF_DIM}")
+        check_dim_and_order(dim, order)
         self.dim = dim
         self.order = order
 
@@ -106,10 +122,4 @@ class LoopModel:
 
     def escaping_gf(self) -> TruncatedSeries:
         """Series counting walks that never return to the space origin."""
-        weight = 4**self.dim
-        out = []
-        acc = 0
-        for c in self.reciprocal_loop_gf().coeffs:
-            acc = acc * weight + c
-            out.append(acc)
-        return TruncatedSeries(out)
+        return geometric_sum(self.reciprocal_loop_gf().coeffs, 4**self.dim)

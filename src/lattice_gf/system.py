@@ -26,12 +26,34 @@ Elimination keeps the grading, so the one kernel ``_eliminate``, shared by
 ``u``-coefficients only, about ``order / period`` of them.  A matrix
 without structure has the trivial grading ``(1, (0, ..., 0))``, under which
 the same kernel is plain dense elimination.
+
+The same series also follow from the forbidden residues ``S``, through the
+loop series ``L`` itself.  Over all residues write ``C(f)`` for the matrix
+with entry ``(r, q)`` equal to ``multisection(f, period, shift(r, q))``.
+Classes add under multiplication, so ``C(f) C(g) = C(f g)``, and
+``A = C(1/L)`` and ``B = C(L)`` are inverse to each other.  The rows of
+``A`` sum to ``1/L``, so ``E_inf = A 1 / (1 - 4**d t)`` with ``1`` the
+all-ones vector, and with ``x = (1 - 4**d t) P`` the equations for the
+admissible residues ``R`` read
+
+    A_RR x_R = A_RR 1_R + A_RS 1_S.
+
+Block ``(R, S)`` of ``A B = I`` is ``A_RR B_RS + A_RS B_SS = 0``, hence
+``A_RR^-1 A_RS = -B_RS B_SS^-1`` (Jacobi's complementary minors), and
+
+    P_R = (1_R - B_RS B_SS^-1 1_S) / (1 - 4**d t).
+
+``B_SS`` is the identity at ``t = 0`` and is graded by ``(period, S)`` like
+the matrix above, so the same kernel solves ``B_SS z = 1_S``, and no series
+but its pivots is inverted.  ``solve_complement`` takes this route and
+``_solution_tuple`` uses it whenever ``|S| < |R|``; a full set, ``S``
+empty, needs no solve at all and gives ``4**(d j)``.
 """
 
 from collections import OrderedDict
 from collections.abc import Sequence
 
-from .loops import LoopModel
+from .loops import LoopModel, check_dim_and_order, geometric_sum
 from .periodic import PeriodicSet, shift_distance
 from .series import TruncatedSeries, product_coeffs
 
@@ -176,25 +198,30 @@ def series_determinant(matrix: SeriesMatrix) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
+def _circulant_block(series: TruncatedSeries, period: int, labels) -> SeriesMatrix:
+    """Rows and columns ``labels`` of the period circulant of ``series``:
+    entry ``(a, b)`` is the ``shift(a, b)`` multisection, graded
+    ``(period, labels)``, and each distinct class is built once."""
+    shifts = {shift_distance(a, b, period) for a in labels for b in labels}
+    pieces = {c: series.multisection(period, c) for c in shifts}
+    rows = [[pieces[shift_distance(a, b, period)] for b in labels] for a in labels]
+    return SeriesMatrix(rows, (period, labels))
+
+
 def build_system(dim: int, restriction: PeriodicSet, order: int):
     """The coefficient matrix and right-hand side of the return decomposition.
 
     Rows and columns follow ``restriction.residues``, which also grade the
     matrix with ``restriction.period``.  Entry ``(r, q)`` is the
-    ``shift(r, q)`` multisection of the reciprocal loop series, so each
-    distinct class is built once.  Diagonal entries have constant term 1 and
-    off-diagonal entries constant term 0, which is what lets the solver skip
-    pivot search.
+    ``shift(r, q)`` multisection of the reciprocal loop series.  Diagonal
+    entries have constant term 1 and off-diagonal entries constant term 0,
+    which is what lets the solver skip pivot search.
     """
     model = LoopModel(dim, order)
-    reciprocal = model.reciprocal_loop_gf()
-    period = restriction.period
-    residues = restriction.residues
-    shifts = {shift_distance(r, q, period) for r in residues for q in residues}
-    pieces = {s: reciprocal.multisection(period, s) for s in shifts}
-    rows = [[pieces[shift_distance(r, q, period)] for q in residues] for r in residues]
-    grading = (period, residues)
-    return SeriesMatrix(rows, grading), [model.escaping_gf()] * restriction.size
+    matrix = _circulant_block(
+        model.reciprocal_loop_gf(), restriction.period, restriction.residues
+    )
+    return matrix, [model.escaping_gf()] * restriction.size
 
 
 def solve_linear_system(
@@ -221,6 +248,40 @@ def solve_linear_system(
             acc = [x - y for x, y in zip(acc, product)]
         out[i] = _dense_product(0, inverses[i], acc, period)
     return [TruncatedSeries(coeffs) for coeffs in out]
+
+
+def solve_complement(
+    dim: int, restriction: PeriodicSet, order: int
+) -> list[TruncatedSeries]:
+    """Walk series per admissible residue, solved over the forbidden ones.
+
+    Entry ``(s, q)`` of ``B_SS`` is the ``shift(s, q)`` multisection of the
+    loop series; ``z = B_SS^-1 1_S`` is subtracted from ``1`` through the
+    ``shift(r, s)`` multisections and the result divided by
+    ``1 - 4**d t``.  The forbidden residues are enumerated, so the cost
+    grows with the period.
+    """
+    check_dim_and_order(dim, order)
+    period, residues, weight = restriction.period, restriction.residues, 4**dim
+    admissible = set(residues)
+    forbidden = [s for s in range(period) if s not in admissible]
+    one = [1] + [0] * (order - 1)
+    if not forbidden:
+        return [geometric_sum(one, weight)] * len(residues)
+    loop = LoopModel(dim, order).loop_gf()
+    z = solve_linear_system(
+        _circulant_block(loop, period, forbidden),
+        [TruncatedSeries(one)] * len(forbidden),
+    )
+    out = []
+    for r in residues:
+        acc = one
+        for s, zs in zip(forbidden, z):
+            c = shift_distance(r, s, period)
+            product = _dense_product(c, loop.coeffs[c::period], zs.coeffs, period)
+            acc = [x - y for x, y in zip(acc, product)]
+        out.append(geometric_sum(acc, weight))
+    return out
 
 
 class RestrictedPathSolution:
@@ -254,11 +315,13 @@ def _solution_tuple(dim: int, restriction: PeriodicSet, order: int):
 
     The cache keeps the highest order solved per ``(dim, restriction)`` and
     answers a lower order by truncation, which is exact because every series
-    operation is causal.
+    operation is causal.  A cold solve takes the smaller side: the forbidden
+    residues when there are fewer of them than admissible ones, counted
+    without enumerating them, and the admissible residues otherwise.
     """
-    # Checked here because a cached prefix would accept a negative slice.
-    if order < 1:
-        raise ValueError("truncation order must be positive")
+    # Checked before the lookup: a cached prefix would accept a negative or
+    # boolean order, and 2.0 or True would find the entry of 2 or 1.
+    check_dim_and_order(dim, order)
     key = (dim, restriction)
     cached = _solutions.get(key)
     if cached is not None and cached[0].order >= order:
@@ -266,8 +329,10 @@ def _solution_tuple(dim: int, restriction: PeriodicSet, order: int):
         if cached[0].order == order:
             return cached
         return tuple(TruncatedSeries(s.coeffs[:order]) for s in cached)
-    matrix, rhs = build_system(dim, restriction, order)
-    solution = solve_linear_system(matrix, rhs)
+    if restriction.period - restriction.size < restriction.size:
+        solution = solve_complement(dim, restriction, order)
+    else:
+        solution = solve_linear_system(*build_system(dim, restriction, order))
     for residue, series in zip(restriction.residues, solution):
         check_walk_series(residue, series)
     _solutions[key] = solved = tuple(solution)

@@ -9,7 +9,8 @@ entry, ``odd_length_count`` reads one value off an oracle table, and
 ``unfolded_counts`` is the reference for the folded oracle: the same dynamic
 program over every site of the unfolded grid.  ``reduction_check`` and
 ``period_two_closed_form`` test the solved series against the system they
-solve, by multisection.  ``load_benchmark_module`` imports a file of
+solve, by multisection, and ``one_forbidden_closed_form`` solves a set with
+one forbidden residue by hand.  ``load_benchmark_module`` imports a file of
 ``perfbench/`` for the tests that pin what the benchmark reaches.
 """
 
@@ -135,6 +136,26 @@ def period_two_closed_form(dim: int, order: int) -> TruncatedSeries:
     model = LoopModel(dim, order)
     escaping_even = model.escaping_gf().multisection(2, 0)
     return escaping_even * model.reciprocal_loop_gf().multisection(2, 0).inverse()
+
+
+def one_forbidden_closed_form(
+    dim: int, restriction: PeriodicSet, residue: int, order: int
+) -> TruncatedSeries:
+    """Walk series from ``residue`` when exactly one residue ``s`` is forbidden.
+
+    The forbidden-residue system is the single equation ``L_0 z = 1``, so
+    ``P_r = (1 - L_{(s - r) mod p} / L_0) / (1 - 4**d t)``, with ``L_c`` the
+    ``(p, c)``-multisection of the loop series.
+    """
+    period = restriction.period
+    (forbidden,) = set(range(period)).difference(restriction.residues)
+    loop = LoopModel(dim, order).loop_gf()
+    one = TruncatedSeries.one(order)
+    ratio = loop.multisection(period, (forbidden - residue) % period) * (
+        loop.multisection(period, 0).inverse()
+    )
+    drift = one - TruncatedSeries.monomial(4**dim, 1, order)
+    return (one - ratio) * drift.inverse()
 
 
 def odd_length_count(

@@ -1,10 +1,12 @@
 """Tests for the restricted-walk linear system and its solutions."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_gf import system
+from lattice_gf import loops, system
 from lattice_gf.loops import LoopModel
 from lattice_gf.oracle import count_restricted
 from lattice_gf.periodic import PeriodicSet, hajnal_nagy_set, shift_distance
@@ -14,11 +16,19 @@ from lattice_gf.system import (
     build_system,
     check_walk_series,
     restricted_path_gf,
+    solve_complement,
     solve_linear_system,
     solve_restricted,
 )
 
-from helpers import identity_matrix, mul_vec, period_two_closed_form, reduction_check
+from helpers import (
+    identity_matrix,
+    load_benchmark_module,
+    mul_vec,
+    one_forbidden_closed_form,
+    period_two_closed_form,
+    reduction_check,
+)
 
 
 def gf_counts(dim, restriction, order):
@@ -249,6 +259,146 @@ class TestSolutionCache:
         solve_restricted(1, restriction, 10)
         with pytest.raises(ValueError, match="truncation order must be positive"):
             solve_restricted(1, restriction, order)
+
+    @pytest.mark.parametrize("dim, order, message", [
+        (True, 5, "dimension must be an int, not bool"),
+        (1.0, 3, "dimension must be an int, not float"),
+        (1, True, "truncation order must be an int, not bool"),
+        (1, 3.0, "truncation order must be an int, not float"),
+    ])
+    def test_parameter_types_checked_on_a_warm_cache(self, dim, order, message):
+        # True and 1.0 hash like 1, so a lookup before the check would serve
+        # the dim-1 entry, and a bool or float order would slice it.
+        restriction = PeriodicSet((0,), 2)
+        system._solutions.clear()
+        solve_restricted(1, restriction, 10)
+        with pytest.raises(TypeError, match=message):
+            restricted_path_gf(dim, restriction, 0, order)
+        assert list(system._solutions) == [(1, restriction)]
+
+    @pytest.mark.parametrize("dim, order", [
+        (0, 5), (5, 5), (2.5, 5), (True, 5), (2, 0), (2, 2.0),
+    ])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_full_set_refuses_what_the_loop_model_refuses(self, dim, order, warm):
+        # A full set never builds a LoopModel, so the checks and their
+        # messages must come from _solution_tuple itself.
+        full = PeriodicSet.full(3)
+        system._solutions.clear()
+        if warm:
+            for d in (1, 2):
+                solve_restricted(d, full, 10)
+        before = list(system._solutions)
+        with pytest.raises(Exception) as expected:
+            LoopModel(dim, order)
+        with pytest.raises(type(expected.value)) as got:
+            restricted_path_gf(dim, full, 0, order)
+        assert str(got.value) == str(expected.value)
+        assert list(system._solutions) == before
+
+
+class TestComplementRoute:
+    @given(st.integers(min_value=1, max_value=3), periodic_set_st(),
+           st.integers(min_value=1, max_value=30))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reciprocal_route_and_oracle(self, dim, restriction, order):
+        if dim == 3:
+            order = min(order, 16)
+        residues, period = restriction.residues, restriction.period
+        complement = dict(zip(residues, (
+            s.coeffs for s in solve_complement(dim, restriction, order))))
+        reciprocal = dict(zip(residues, (
+            s.coeffs for s in solve_linear_system(*build_system(dim, restriction, order)))))
+        assert first_difference(complement, reciprocal) is None, (
+            first_difference(complement, reciprocal))
+        # Walks started at residue r see the set shifted by -r.
+        half_len = min(order - 1, {1: 29, 2: 29, 3: 8}[dim])
+        shown = {r: complement[r][: half_len + 1] for r in residues}
+        oracle = {
+            r: tuple(count_restricted(
+                dim, PeriodicSet([(q - r) % period for q in residues], period),
+                half_len).counts)
+            for r in residues
+        }
+        assert first_difference(shown, oracle) is None, first_difference(shown, oracle)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("residues, period", [((0, 1), 3), ((0, 1, 3), 4)])
+    def test_one_forbidden_residue_closed_form(self, dim, residues, period):
+        restriction = PeriodicSet(residues, period)
+        order = 24
+        reciprocal = solve_linear_system(*build_system(dim, restriction, order))
+        for r, other in zip(residues, reciprocal):
+            closed = one_forbidden_closed_form(dim, restriction, r, order)
+            assert restricted_path_gf(dim, restriction, r, order) == closed
+            assert other == closed
+
+    def test_one_forbidden_residue_dim2_frozen_prefix(self):
+        restriction = PeriodicSet((0, 1, 3), 4)
+        expected = (1, 16, 256, 3696, 59136, 946176, 15138816, 232402432,
+                    3718438912, 59495022592)
+        assert one_forbidden_closed_form(2, restriction, 3, 10).coeffs == expected
+        assert restricted_path_gf(2, restriction, 3, 10).coeffs == expected
+
+    def test_full_set_needs_no_loop_series(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a full set built a loop series")
+
+        monkeypatch.setattr(LoopModel, "loop_gf", refuse)
+        monkeypatch.setattr(LoopModel, "reciprocal_loop_gf", refuse)
+        for dim in (1, 2, 3, 4):
+            solved = solve_complement(dim, PeriodicSet.full(4), 12)
+            assert [s.coeffs for s in solved] == [
+                tuple(4 ** (dim * j) for j in range(12))] * 4
+
+
+def count_route(monkeypatch):
+    """``build_system`` calls and inverted series orders from now on, with
+    the solution cache and the reciprocal loop series cold."""
+    builds, inverted = [], []
+    original_build, original_inverse = system.build_system, TruncatedSeries.inverse
+
+    def counting_build(*args):
+        builds.append(args)
+        return original_build(*args)
+
+    def counting_inverse(series):
+        inverted.append(series.order)
+        return original_inverse(series)
+
+    monkeypatch.setattr(system, "_solutions", OrderedDict())
+    monkeypatch.setattr(loops, "_reciprocals", {})
+    monkeypatch.setattr(system, "build_system", counting_build)
+    monkeypatch.setattr(TruncatedSeries, "inverse", counting_inverse)
+    return builds, inverted
+
+
+class TestRouteCounts:
+    """Structural counts: which route each benchmark workload's sets take."""
+
+    def test_deep_series_dim3_pool_takes_the_complement_route(self, monkeypatch):
+        workloads = load_benchmark_module("workloads")
+        order = workloads.SCALES["full"]["deep_orders"][2]
+        assert workloads.DEEP_DIM3_POOL
+        for residues, period in workloads.DEEP_DIM3_POOL:
+            builds, inverted = count_route(monkeypatch)
+            solve_restricted(3, PeriodicSet(residues, period), order)
+            assert builds == []
+            assert loops._reciprocals == {}
+            # The one pivot, a series in t**period.
+            assert inverted == [len(range(0, order, period))]
+
+    def test_wide_and_staircase_sets_take_the_reciprocal_route(self, monkeypatch):
+        workloads = load_benchmark_module("workloads")
+        dim = workloads.SCALES["full"]["wide_drawn"][0]
+        stair_k = workloads.SCALES["full"]["wide_stair"][0]
+        cases = [(dim, PeriodicSet(*pair)) for pair in workloads.wide_pool("full")]
+        cases += [(1, PeriodicSet(*workloads.staircase(stair_k)))]
+        cases += [(d, hajnal_nagy_set(k)) for d in (1, 2) for k in range(1, 7)]
+        for dim, restriction in cases:
+            builds, _ = count_route(monkeypatch)
+            solve_restricted(dim, restriction, 6)
+            assert builds == [(dim, restriction, 6)], restriction
 
 
 class TestRestrictedGf:
