@@ -11,25 +11,25 @@ series as a ratio of quarter determinants, and in one dimension the full
 determinant collapses to ``sqrt(1 - (4t)**(2k))``.
 
 Entry ``(i, j)`` of these circulants is the ``(n, j - i)`` multisection of a
-series, so the builders declare the grading ``(n, (0, ..., n-1))`` of
-``SeriesMatrix``; the upper-left quarter keeps the first half of the labels,
-and ``system.series_determinant`` runs the elimination kernel on it, keeping
-each entry as a series in ``t**n``.
+series.  Every circulant and quarter here comes from the builder of the
+restriction system, ``system._circulant_block``: rows and columns
+``0..n-1`` give the full circulant, graded ``(n, (0, ..., n-1))`` as a
+``SeriesMatrix``, and rows and columns ``0..k-1`` of period ``2k`` give the
+upper-left quarter directly.  ``system.series_determinant`` runs the
+elimination kernel on either, keeping each entry as a series in ``t**n``.
 """
 
 from .loops import LoopModel
 from .periodic import hajnal_nagy_set
 from .series import TruncatedSeries, inv_sqrt_one_minus_monomial
-from .system import SeriesMatrix, restricted_path_gf, series_determinant
+from .system import SeriesMatrix, _circulant_block, restricted_path_gf, series_determinant
 
 
-def _graded_circulant(series: TruncatedSeries, n: int) -> SeriesMatrix:
-    """The ``n x n`` circulant whose entry ``(i, j)`` is the ``(n, j - i)``
-    multisection of ``series``, graded ``(n, (0, ..., n-1))``."""
+def _circulant(series: TruncatedSeries, n: int, size: int) -> SeriesMatrix:
+    """Rows and columns ``0..size-1`` of the ``n x n`` circulant of ``series``."""
     if n < 1:
         raise ValueError("circulant size must be positive")
-    row = [series.multisection(n, j) for j in range(n)]
-    return SeriesMatrix([row[n - i:] + row[:n - i] for i in range(n)], (n, range(n)))
+    return _circulant_block(series, n, range(size))
 
 
 def restriction_circulant(dim: int, n: int, order: int) -> SeriesMatrix:
@@ -38,12 +38,22 @@ def restriction_circulant(dim: int, n: int, order: int) -> SeriesMatrix:
     The first row splits the reciprocal loop series, which is one minus the
     simple-loop series, into its ``n`` multisections.
     """
-    return _graded_circulant(LoopModel(dim, order).reciprocal_loop_gf(), n)
+    return _circulant(LoopModel(dim, order).reciprocal_loop_gf(), n, n)
 
 
 def escaping_circulant(dim: int, n: int, order: int) -> SeriesMatrix:
     """Circulant built from the multisections of the escaping series."""
-    return _graded_circulant(LoopModel(dim, order).escaping_gf(), n)
+    return _circulant(LoopModel(dim, order).escaping_gf(), n, n)
+
+
+def _quarters(dim: int, k: int, order: int) -> tuple[SeriesMatrix, SeriesMatrix]:
+    """Upper-left quarters of the ``2k x 2k`` restriction and escaping
+    circulants, built without the other three quarters."""
+    model = LoopModel(dim, order)
+    return (
+        _circulant(model.reciprocal_loop_gf(), 2 * k, k),
+        _circulant(model.escaping_gf(), 2 * k, k),
+    )
 
 
 def row_relation_check(dim: int, n: int, order: int) -> bool:
@@ -79,19 +89,12 @@ def column_substitution_check(dim: int, k: int, order: int) -> bool:
     Column operations using the entry-wise row relation turn the substituted
     matrix into the escaping quarter without changing the determinant.
     """
-    left_restriction = quarter(restriction_circulant(dim, 2 * k, order))
-    left_escaping = quarter(escaping_circulant(dim, 2 * k, order))
+    restriction, escaping = _quarters(dim, k, order)
     substituted = SeriesMatrix(
-        [
-            [
-                left_escaping.entry(i, 0) if j == 0 else left_restriction.entry(i, j)
-                for j in range(k)
-            ]
-            for i in range(k)
-        ],
-        left_restriction.grading,
+        [(e[0], *r[1:]) for r, e in zip(restriction.rows, escaping.rows)],
+        restriction.grading,
     )
-    return series_determinant(substituted) == series_determinant(left_escaping)
+    return series_determinant(substituted) == series_determinant(escaping)
 
 
 def cramer_ratio_check(dim: int, k: int, order: int) -> bool:
@@ -100,13 +103,8 @@ def cramer_ratio_check(dim: int, k: int, order: int) -> bool:
     target = restricted_path_gf(dim, hajnal_nagy_set(k), 0, order).multisection(
         2 * k, 0
     )
-    det_restriction = series_determinant(
-        quarter(restriction_circulant(dim, 2 * k, order))
-    )
-    det_escaping = series_determinant(
-        quarter(escaping_circulant(dim, 2 * k, order))
-    )
-    return det_escaping == target * det_restriction
+    restriction, escaping = _quarters(dim, k, order)
+    return series_determinant(escaping) == target * series_determinant(restriction)
 
 
 def hn_determinant_check(k: int, order: int) -> bool:

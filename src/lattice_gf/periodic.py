@@ -54,18 +54,9 @@ class PeriodicSet:
     def __repr__(self):
         return f"PeriodicSet(residues={self.residues!r}, period={self.period!r})"
 
-    @classmethod
-    def full(cls, period: int) -> "PeriodicSet":
-        """The unrestricted set: every residue modulo ``period`` admissible."""
-        return cls(tuple(range(period)), period)
-
     @property
     def size(self) -> int:
         return len(self.residues)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.residues) == self.period
 
     def is_admissible_half_time(self, half_time: int) -> bool:
         """Whether the origin may be occupied at time ``2 * half_time``."""

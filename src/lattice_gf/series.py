@@ -67,20 +67,8 @@ class TruncatedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.constant(0, order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls.constant(1, order)
-
-    @classmethod
-    def constant(cls, value: int, order: int) -> "TruncatedSeries":
-        if order < 1:
-            raise ValueError("truncation order must be positive")
-        row = [0] * order
-        row[0] = value
-        return cls(row)
+        return cls.monomial(1, 0, order)
 
     @classmethod
     def monomial(cls, coeff: int, exponent: int, order: int) -> "TruncatedSeries":
@@ -100,15 +88,6 @@ class TruncatedSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs)
-
-    @property
-    def constant_term(self) -> int:
-        return self.coeffs[0]
-
-    def coefficient(self, j: int) -> int:
-        if not 0 <= j < self.order:
-            raise ValueError(f"index {j} outside truncation order {self.order}")
-        return self.coeffs[j]
 
     def _require_same_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -197,9 +176,6 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return self.coeffs == other.coeffs
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __str__(self):
         parts = []

@@ -112,14 +112,6 @@ class SeriesMatrix:
     def order(self) -> int:
         return self.rows[0][0].order
 
-    def entry(self, i: int, j: int) -> TruncatedSeries:
-        return self.rows[i][j]
-
-    def __eq__(self, other):
-        if isinstance(other, SeriesMatrix):
-            return self.rows == other.rows
-        return NotImplemented
-
 
 def _dense_product(shift: int, f, dense: list, period: int) -> list:
     """``t**shift * f(t**period)`` times a dense coefficient list, truncated
@@ -202,9 +194,9 @@ def _circulant_block(series: TruncatedSeries, period: int, labels) -> SeriesMatr
     """Rows and columns ``labels`` of the period circulant of ``series``:
     entry ``(a, b)`` is the ``shift(a, b)`` multisection, graded
     ``(period, labels)``, and each distinct class is built once."""
-    shifts = {shift_distance(a, b, period) for a in labels for b in labels}
-    pieces = {c: series.multisection(period, c) for c in shifts}
-    rows = [[pieces[shift_distance(a, b, period)] for b in labels] for a in labels]
+    shifts = [[shift_distance(a, b, period) for b in labels] for a in labels]
+    pieces = {c: series.multisection(period, c) for c in set().union(*shifts)}
+    rows = [[pieces[c] for c in row] for row in shifts]
     return SeriesMatrix(rows, (period, labels))
 
 
@@ -360,6 +352,10 @@ def restricted_path_gf(
     the time axis at time ``2 * start_residue`` and touch the space origin at
     admissible times only.
     """
+    # 2.0 and True would be answered as residues 0 and 1, and '0' % period
+    # is string formatting.
+    if not isinstance(start_residue, int) or isinstance(start_residue, bool):
+        raise TypeError(f"start residue must be an int, not {type(start_residue).__name__}")
     reduced = start_residue % restriction.period
     if reduced not in restriction.residues:
         raise ValueError(

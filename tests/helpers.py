@@ -60,7 +60,7 @@ def polygon_distance(start: int, target: int, period: int) -> int:
 
 def identity_matrix(n: int, order: int) -> SeriesMatrix:
     one = TruncatedSeries.one(order)
-    zero = TruncatedSeries.zero(order)
+    zero = TruncatedSeries([0] * order)
     return SeriesMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
 
@@ -72,9 +72,9 @@ def matmul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
     for i in range(a.n):
         row = []
         for j in range(a.n):
-            acc = TruncatedSeries.zero(a.order)
+            acc = TruncatedSeries([0] * a.order)
             for m in range(a.n):
-                acc = acc + a.entry(i, m) * b.entry(m, j)
+                acc = acc + a.rows[i][m] * b.rows[m][j]
             row.append(acc)
         rows.append(row)
     return SeriesMatrix(rows)
@@ -86,7 +86,7 @@ def mul_vec(matrix: SeriesMatrix, vec) -> list[TruncatedSeries]:
         raise ValueError("vector length does not match the matrix size")
     out = []
     for row in matrix.rows:
-        acc = TruncatedSeries.zero(matrix.order)
+        acc = TruncatedSeries([0] * matrix.order)
         for entry, x in zip(row, vec):
             acc = acc + entry * x
         out.append(acc)

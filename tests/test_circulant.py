@@ -2,6 +2,7 @@
 
 import pytest
 
+from lattice_gf import circulant
 from lattice_gf.circulant import (
     column_substitution_check,
     cramer_ratio_check,
@@ -34,7 +35,7 @@ class TestCirculantShape:
             row = circ.rows[0]
             for i in range(5):
                 for j in range(5):
-                    assert circ.entry(i, j) is row[(j - i) % 5]
+                    assert circ.rows[i][j] is row[(j - i) % 5]
 
     def test_rows_rotate(self):
         circ = restriction_circulant(1, 3, 7)
@@ -69,8 +70,8 @@ class TestFirstRows:
         circ = restriction_circulant(1, 1, 6)
         assert circ.n == 1
         assert circ.grading == (1, (0,))
-        recip = circ.entry(0, 0)
-        assert recip.constant_term == 1
+        recip = circ.rows[0][0]
+        assert recip.coeffs[0] == 1
 
     def test_rows_partition_their_series(self):
         # The n multisections reassemble the reciprocal loop series.
@@ -99,7 +100,7 @@ class TestFirstRows:
         circ = restriction_circulant(1, 5, order)
         for a, r in enumerate(restriction.residues):
             for b, q in enumerate(restriction.residues):
-                assert matrix.entry(a, b) == circ.entry(r, q)
+                assert matrix.rows[a][b] == circ.rows[r][q]
 
 
 class TestRowRelation:
@@ -132,13 +133,13 @@ class TestDeterminant:
     def test_non_unit_pivot_rejected(self):
         # The determinant 4 is an integer, but its pivots 2 and 2 are not
         # units of Z[[t]], so elimination refuses the first of them.
-        two, zero = TruncatedSeries.constant(2, 3), TruncatedSeries.zero(3)
+        two, zero = TruncatedSeries.monomial(2, 0, 3), TruncatedSeries([0] * 3)
         with pytest.raises(ArithmeticError, match="pivot 0 has constant term 2"):
             series_determinant(SeriesMatrix([[two, zero], [zero, two]]))
 
     def test_restriction_determinant_is_unit(self):
         det = series_determinant(restriction_circulant(1, 4, 8))
-        assert det.constant_term == 1
+        assert det.coeffs[0] == 1
 
 
 class TestQuarter:
@@ -153,8 +154,8 @@ class TestQuarter:
         for circ in (restriction_circulant(dim, n, 10), escaping_circulant(dim, n, 10)):
             for i in range(k):
                 for j in range(k):
-                    assert circ.entry(k + i, j) == circ.entry(i, k + j)
-                    assert circ.entry(k + i, k + j) == circ.entry(i, j)
+                    assert circ.rows[k + i][j] == circ.rows[i][k + j]
+                    assert circ.rows[k + i][k + j] == circ.rows[i][j]
 
     def test_gradings(self):
         for build in (restriction_circulant, escaping_circulant):
@@ -170,6 +171,16 @@ class TestQuarter:
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError, match="even"):
             quarter(restriction_circulant(1, 3, 5))
+
+    @pytest.mark.parametrize("dim, k", [(1, 1), (1, 3), (2, 2), (3, 1)])
+    def test_direct_quarters_match_sliced_circulants(self, dim, k):
+        # The checks build the quarters as blocks of the circulant; they
+        # must be the quarters of the full circulants, grading included.
+        direct = circulant._quarters(dim, k, 11)
+        full = (restriction_circulant(dim, 2 * k, 11), escaping_circulant(dim, 2 * k, 11))
+        for block, circ in zip(direct, full):
+            assert block.rows == quarter(circ).rows
+            assert block.grading == quarter(circ).grading
 
 
 class TestGradedDeterminant:
@@ -204,8 +215,18 @@ class TestDeterminantChain:
         for k in (1, 2, 3):
             assert hn_determinant_check(k, order=14)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_staircase_checks_refuse_empty_size(self, k):
+        # cramer_ratio_check solves the staircase set first, which refuses k.
+        with pytest.raises(ValueError, match="^circulant size must be positive$"):
+            column_substitution_check(1, k, 5)
+        with pytest.raises(ValueError, match="^k must be a positive integer$"):
+            cramer_ratio_check(1, k, 5)
+        with pytest.raises(ValueError, match="^circulant size must be positive$"):
+            hn_determinant_check(k, 5)
+
     def test_inverse_pair_dim1(self):
         for n in (2, 4, 6):
             b = escaping_circulant(1, n, 10)
             c = restriction_circulant(1, n, 10)
-            assert matmul(b, c) == identity_matrix(n, 10)
+            assert matmul(b, c).rows == identity_matrix(n, 10).rows

@@ -1,8 +1,11 @@
 """The package runs on the Python standard library alone, its CLI loads no
 number type but ``int``, and it keeps every name the benchmark harness in
-``perfbench/`` reaches into."""
+``perfbench/`` and the README's library example reach into."""
 
 import ast
+import contextlib
+import io
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,3 +83,19 @@ def test_benchmark_worker_and_gate_attributes():
     assert solution.series[0].coeffs == (1, 2, 8, 24)
     table = lattice_gf.oracle.count_restricted(1, restriction, 3)
     assert (table.dim, len(table), tuple(table.counts)) == (1, 4, (1, 2, 8, 24))
+    # make_reference.py digests every solved series and the dim-3 escaping
+    # counts; the gate solves through restricted_path_gf and runs
+    # cramer_ratio_check, both from the package root.
+    assert {start: s.coeffs for start, s in solution.series.items()} == {0: (1, 2, 8, 24)}
+    assert tuple(lattice_gf.count_escaping(3, 3).counts) == (1, 56, 3432, 214592)
+    assert lattice_gf.restricted_path_gf(1, restriction, 0, 4).coeffs == (1, 2, 8, 24)
+    assert lattice_gf.cramer_ratio_check(1, 1, 4) is True
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"## Library\n\n```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert out.getvalue() == f"{namespace['gf'].coeffs[3]}\n" == "24\n"

@@ -21,7 +21,7 @@ def cold_reciprocals():
 
 def loop_count(dim, k):
     """Number of length-``2k`` loops of the origin, read off the loop series."""
-    return LoopModel(dim, k + 1).loop_gf().coefficient(k)
+    return LoopModel(dim, k + 1).loop_gf().coeffs[k]
 
 
 class TestLoopCounts:

@@ -75,19 +75,19 @@ class TestRestricted:
 
     def test_full_set_counts_all_walks(self):
         for dim in (1, 2):
-            table = count_restricted(dim, PeriodicSet.full(1), max_half_len=4)
+            table = count_restricted(dim, PeriodicSet((0,), 1), max_half_len=4)
             for k in range(5):
                 assert table[k] == (2 * dim) ** (2 * k)
 
     def test_full_set_dim3(self):
-        table = count_restricted(3, PeriodicSet.full(1), max_half_len=2)
+        table = count_restricted(3, PeriodicSet((0,), 1), max_half_len=2)
         for k in range(3):
             assert table[k] == 64 ** k
 
     def test_restriction_is_monotone(self):
         # Fewer admissible times can only remove paths.
         small = count_restricted(1, hajnal_nagy_set(1), max_half_len=5)
-        large = count_restricted(1, PeriodicSet.full(1), max_half_len=5)
+        large = count_restricted(1, PeriodicSet((0,), 1), max_half_len=5)
         for k in range(6):
             assert small[k] <= large[k]
 
@@ -145,7 +145,7 @@ KIND_COUNTERS = {
     "escaping": count_escaping,
 }
 REFERENCE_SETS = {
-    "full mod 3": PeriodicSet.full(3),
+    "full mod 3": PeriodicSet(range(3), 3),
     "0 mod 2": PeriodicSet((0,), 2),
     "0,1 mod 3": PeriodicSet((0, 1), 3),
     "0,2 mod 5": PeriodicSet((0, 2), 5),

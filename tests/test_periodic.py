@@ -56,10 +56,10 @@ class TestValidation:
             PeriodicSet((0, True), 2)
 
     def test_full_set(self):
-        full = PeriodicSet.full(3)
+        full = PeriodicSet(range(3), 3)
         assert full.residues == (0, 1, 2)
-        assert full.is_full
-        assert not PeriodicSet((0, 2), 3).is_full
+        assert full.size == full.period
+        assert PeriodicSet((0, 2), 3).size < 3
 
 
 class TestValueSemantics:
@@ -122,7 +122,7 @@ class TestAdmissibility:
 
     @given(st.integers(min_value=0, max_value=100))
     def test_full_set_admits_everything(self, j):
-        assert PeriodicSet.full(4).is_admissible_half_time(j)
+        assert PeriodicSet(range(4), 4).is_admissible_half_time(j)
 
 
 class TestShiftDistance:
