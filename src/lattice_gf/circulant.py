@@ -119,7 +119,7 @@ def hn_determinant_check(k: int, order: int) -> bool:
     det_full = series_determinant(full)
     det_restriction = series_determinant(quarter(full))
     det_escaping = series_determinant(
-        quarter(escaping_circulant(1, 2 * k, order))
+        _circulant(LoopModel(1, order).escaping_gf(), 2 * k, k)
     )
     block_identity = det_escaping * det_full == det_restriction
     closed_form = (

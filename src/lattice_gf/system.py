@@ -54,7 +54,7 @@ from collections import OrderedDict
 from collections.abc import Sequence
 
 from .loops import LoopModel, check_dim_and_order, geometric_sum
-from .periodic import PeriodicSet, shift_distance
+from .periodic import PeriodicSet
 from .series import TruncatedSeries, product_coeffs
 
 # Solved systems kept by _solution_tuple, least recently used dropped first.
@@ -194,7 +194,7 @@ def _circulant_block(series: TruncatedSeries, period: int, labels) -> SeriesMatr
     """Rows and columns ``labels`` of the period circulant of ``series``:
     entry ``(a, b)`` is the ``shift(a, b)`` multisection, graded
     ``(period, labels)``, and each distinct class is built once."""
-    shifts = [[shift_distance(a, b, period) for b in labels] for a in labels]
+    shifts = [[(b - a) % period for b in labels] for a in labels]
     pieces = {c: series.multisection(period, c) for c in set().union(*shifts)}
     rows = [[pieces[c] for c in row] for row in shifts]
     return SeriesMatrix(rows, (period, labels))
@@ -269,7 +269,7 @@ def solve_complement(
     for r in residues:
         acc = one
         for s, zs in zip(forbidden, z):
-            c = shift_distance(r, s, period)
+            c = (s - r) % period
             product = _dense_product(c, loop.coeffs[c::period], zs.coeffs, period)
             acc = [x - y for x, y in zip(acc, product)]
         out.append(geometric_sum(acc, weight))

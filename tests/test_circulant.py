@@ -225,6 +225,20 @@ class TestDeterminantChain:
         with pytest.raises(ValueError, match="^circulant size must be positive$"):
             hn_determinant_check(k, 5)
 
+    def test_hn_check_builds_only_the_escaping_quarter(self, monkeypatch):
+        # The full restriction circulant is needed for its determinant; of
+        # the escaping circulant only the upper-left quarter is.
+        built = []
+        block = circulant._circulant_block
+
+        def recording(series, period, labels):
+            built.append((period, tuple(labels)))
+            return block(series, period, labels)
+
+        monkeypatch.setattr(circulant, "_circulant_block", recording)
+        assert hn_determinant_check(3, 14)
+        assert built == [(6, tuple(range(6))), (6, (0, 1, 2))]
+
     def test_inverse_pair_dim1(self):
         for n in (2, 4, 6):
             b = escaping_circulant(1, n, 10)
