@@ -23,7 +23,7 @@ from .oracle import (
     count_restricted,
     count_simple_loops,
 )
-from .periodic import PeriodicSet, hajnal_nagy_set, shift_distance
+from .periodic import PeriodicSet, hajnal_nagy_set
 from .series import TruncatedSeries, inv_sqrt_one_minus_monomial
 from .system import (
     RestrictedPathSolution,
@@ -61,7 +61,6 @@ __all__ = [
     "restriction_circulant",
     "row_relation_check",
     "series_determinant",
-    "shift_distance",
     "solve_linear_system",
     "solve_restricted",
 ]

@@ -17,6 +17,8 @@ restriction system, ``system._circulant_block``: rows and columns
 ``SeriesMatrix``, and rows and columns ``0..k-1`` of period ``2k`` give the
 upper-left quarter directly.  ``system.series_determinant`` runs the
 elimination kernel on either, keeping each entry as a series in ``t**n``.
+The row relation needs no matrix: it reads the ``n`` multisections of the
+two series, which are the first rows of the two circulants.
 """
 
 from .loops import LoopModel
@@ -25,25 +27,18 @@ from .series import TruncatedSeries, inv_sqrt_one_minus_monomial
 from .system import SeriesMatrix, _circulant_block, restricted_path_gf, series_determinant
 
 
-def _circulant(series: TruncatedSeries, n: int, size: int) -> SeriesMatrix:
-    """Rows and columns ``0..size-1`` of the ``n x n`` circulant of ``series``."""
-    if n < 1:
-        raise ValueError("circulant size must be positive")
-    return _circulant_block(series, n, range(size))
-
-
 def restriction_circulant(dim: int, n: int, order: int) -> SeriesMatrix:
     """Circulant whose principal submatrices are restriction system matrices.
 
     The first row splits the reciprocal loop series, which is one minus the
     simple-loop series, into its ``n`` multisections.
     """
-    return _circulant(LoopModel(dim, order).reciprocal_loop_gf(), n, n)
+    return _circulant_block(LoopModel(dim, order).reciprocal_loop_gf(), n, range(n))
 
 
 def escaping_circulant(dim: int, n: int, order: int) -> SeriesMatrix:
     """Circulant built from the multisections of the escaping series."""
-    return _circulant(LoopModel(dim, order).escaping_gf(), n, n)
+    return _circulant_block(LoopModel(dim, order).escaping_gf(), n, range(n))
 
 
 def _quarters(dim: int, k: int, order: int) -> tuple[SeriesMatrix, SeriesMatrix]:
@@ -51,23 +46,30 @@ def _quarters(dim: int, k: int, order: int) -> tuple[SeriesMatrix, SeriesMatrix]
     circulants, built without the other three quarters."""
     model = LoopModel(dim, order)
     return (
-        _circulant(model.reciprocal_loop_gf(), 2 * k, k),
-        _circulant(model.escaping_gf(), 2 * k, k),
+        _circulant_block(model.reciprocal_loop_gf(), 2 * k, range(k)),
+        _circulant_block(model.escaping_gf(), 2 * k, range(k)),
     )
 
 
 def row_relation_check(dim: int, n: int, order: int) -> bool:
-    """Entry-wise relation between the two first rows.
+    """Entry-wise relation between the first rows of the two circulants.
 
-    Subtracting the reciprocal loop series from the escaping series leaves
-    ``4**d t`` times the escaping series, so each difference of row entries
-    is the ``t``-shift of the cyclically previous escaping entry.
+    The first rows are the ``n`` multisections of the reciprocal loop series
+    and of the escaping series, so the check reads those multisections and
+    builds no matrix.  Subtracting the reciprocal loop series from the
+    escaping series leaves ``4**d t`` times the escaping series, so each
+    difference of multisections is the ``t``-shift of the cyclically
+    previous escaping multisection.
     """
-    restriction_row = restriction_circulant(dim, n, order).rows[0]
-    escaping_row = escaping_circulant(dim, n, order).rows[0]
+    model = LoopModel(dim, order)
+    if n < 1:
+        raise ValueError("circulant size must be positive")
+    reciprocal, escaping = model.reciprocal_loop_gf(), model.escaping_gf()
+    sections = [escaping.multisection(n, j) for j in range(n)]
     step = TruncatedSeries.monomial(4**dim, 1, order)
+    # sections[-1] is the class n - 1 that cyclically precedes class 0.
     return all(
-        escaping_row[j] - restriction_row[j] == escaping_row[(j - 1) % n] * step
+        sections[j] - reciprocal.multisection(n, j) == sections[j - 1] * step
         for j in range(n)
     )
 
@@ -119,7 +121,7 @@ def hn_determinant_check(k: int, order: int) -> bool:
     det_full = series_determinant(full)
     det_restriction = series_determinant(quarter(full))
     det_escaping = series_determinant(
-        _circulant(LoopModel(1, order).escaping_gf(), 2 * k, k)
+        _circulant_block(LoopModel(1, order).escaping_gf(), 2 * k, range(k))
     )
     block_identity = det_escaping * det_full == det_restriction
     closed_form = (

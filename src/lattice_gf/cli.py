@@ -67,8 +67,10 @@ def _emit(document: dict, header, rows, args) -> None:
         writer.writerow(header)
         writer.writerows(rows)
         text = buf.getvalue()
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
         return
     try:
         with open(args.out, "w") as handle:

@@ -1,4 +1,4 @@
-"""Periodic sets of admissible time points and the cyclic shift distance.
+"""Periodic sets of admissible time points.
 
 Walks live on the half-time axis: the space origin can only be occupied at
 even times ``2a``, and a restriction names the residues of ``a`` modulo a
@@ -63,18 +63,6 @@ class PeriodicSet:
         if half_time < 0:
             raise ValueError("half-time must be nonnegative")
         return half_time % self.period in self.residues
-
-
-def shift_distance(start: int, target: int, period: int) -> int:
-    """Number of forward arcs from ``start`` to ``target`` on the oriented
-    ``period``-gon whose vertices are the residue classes."""
-    if period < 1:
-        raise ValueError("period must be positive")
-    if not 0 <= start < period:
-        raise ValueError(f"start residue {start} outside [0, {period})")
-    if not 0 <= target < period:
-        raise ValueError(f"target residue {target} outside [0, {period})")
-    return (target - start) % period
 
 
 def hajnal_nagy_set(k: int) -> PeriodicSet:

@@ -177,30 +177,8 @@ class TruncatedSeries:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __str__(self):
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if j == 0:
-                body = str(mag)
-            else:
-                power = "t" if j == 1 else f"t^{j}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            parts.append((sign, body))
-        if not parts:
-            text = "0"
-        else:
-            sign, body = parts[0]
-            text = ("-" if sign == "-" else "") + body
-            for sign, body in parts[1:]:
-                text += f" {sign} {body}"
-        return f"{text} + O(t^{self.order})"
-
     def __repr__(self):
-        return f"<TruncatedSeries {self}>"
+        return f"TruncatedSeries({self.coeffs!r})"
 
 
 def inv_sqrt_one_minus_monomial(coeff: int, exponent: int, order: int) -> TruncatedSeries:

@@ -194,6 +194,8 @@ def _circulant_block(series: TruncatedSeries, period: int, labels) -> SeriesMatr
     """Rows and columns ``labels`` of the period circulant of ``series``:
     entry ``(a, b)`` is the ``shift(a, b)`` multisection, graded
     ``(period, labels)``, and each distinct class is built once."""
+    if period < 1:
+        raise ValueError("circulant size must be positive")
     shifts = [[(b - a) % period for b in labels] for a in labels]
     pieces = {c: series.multisection(period, c) for c in set().union(*shifts)}
     rows = [[pieces[c] for c in row] for row in shifts]

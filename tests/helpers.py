@@ -2,7 +2,9 @@
 
 Everything here is computed by a different route than the library code it
 checks: closed-form binomials, the binomial series for square roots, and a
-step-by-step polygon walk for cyclic distances.  The matrix helpers
+step-by-step polygon walk for cyclic distances, which checks
+``shift_distance``, the range-checked ``(target - start) % period`` that the
+system tests index multisections with.  The matrix helpers
 build identity matrices, matrix products and matrix-vector products entry by
 entry, ``odd_length_count`` reads one value off an oracle table, and
 ``payload_to_series`` reads back the exact coefficients of a CLI document.
@@ -22,7 +24,7 @@ from pathlib import Path
 
 from lattice_gf.loops import LoopModel
 from lattice_gf.oracle import count_odd_length
-from lattice_gf.periodic import PeriodicSet, shift_distance
+from lattice_gf.periodic import PeriodicSet
 from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import SeriesMatrix, build_system, solve_restricted
 
@@ -56,6 +58,18 @@ def polygon_distance(start: int, target: int, period: int) -> int:
         vertex = (vertex + 1) % period
         steps += 1
     return steps
+
+
+def shift_distance(start: int, target: int, period: int) -> int:
+    """Number of forward arcs from ``start`` to ``target`` on the oriented
+    ``period``-gon whose vertices are the residue classes."""
+    if period < 1:
+        raise ValueError("period must be positive")
+    if not 0 <= start < period:
+        raise ValueError(f"start residue {start} outside [0, {period})")
+    if not 0 <= target < period:
+        raise ValueError(f"target residue {target} outside [0, {period})")
+    return (target - start) % period
 
 
 def identity_matrix(n: int, order: int) -> SeriesMatrix:

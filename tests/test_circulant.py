@@ -13,7 +13,7 @@ from lattice_gf.circulant import (
     row_relation_check,
     series_determinant,
 )
-from lattice_gf.loops import LoopModel
+from lattice_gf.loops import LoopModel, geometric_sum
 from lattice_gf.periodic import PeriodicSet
 from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import SeriesMatrix, build_system
@@ -108,6 +108,37 @@ class TestRowRelation:
         for dim in (1, 2, 3):
             for n in (2, 4, 6, 8):
                 assert row_relation_check(dim, n, order=10)
+
+    def test_reads_each_multisection_once_and_builds_no_circulant(self, monkeypatch):
+        # The first rows are the multisections themselves, so the check
+        # needs no matrix, and each of the 2n classes is cut once.
+        built, sections = [], []
+        multisection = TruncatedSeries.multisection
+
+        def recording(series, q, r):
+            sections.append((q, r))
+            return multisection(series, q, r)
+
+        monkeypatch.setattr(circulant, "_circulant_block", lambda *args: built.append(args))
+        monkeypatch.setattr(TruncatedSeries, "multisection", recording)
+        for dim, n in CIRCULANT_SIZES:
+            sections.clear()
+            assert row_relation_check(dim, n, order=10)
+            assert sorted(sections) == sorted([(n, j) for j in range(n)] * 2)
+        assert built == []
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_detects_a_wrong_escaping_series(self, monkeypatch, n):
+        # Weight 4**d + 1 in place of 4**d: the difference of the two series
+        # is no longer 4**d t times the escaping series.
+        monkeypatch.setattr(LoopModel, "escaping_gf", lambda self: geometric_sum(
+            self.reciprocal_loop_gf().coeffs, 4**self.dim + 1))
+        assert not row_relation_check(1, n, 10)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_refuses_empty_size(self, n):
+        with pytest.raises(ValueError, match="^circulant size must be positive$"):
+            row_relation_check(1, n, 5)
 
 
 class TestDeterminant:

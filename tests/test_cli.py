@@ -496,6 +496,20 @@ class TestUnwritableOut:
         assert not (tmp_path / "missing-dir").exists()
 
 
+class TestOutFile:
+    @pytest.mark.parametrize("command", sorted(TestUnwritableOut.COMMANDS))
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_file_bytes_equal_stdout(self, tmp_path, capsys, command, fmt):
+        # One document, two destinations: the final newline included.
+        # stderr (compare's summary line) does not depend on the destination.
+        argv = (*TestUnwritableOut.COMMANDS[command], "--format", fmt)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "document"
+        assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", err)
+        assert target.read_bytes() == out.encode()
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         result = subprocess.run(

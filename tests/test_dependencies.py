@@ -1,6 +1,7 @@
 """The package runs on the Python standard library alone, its CLI loads no
-number type but ``int``, and it keeps every name the benchmark harness in
-``perfbench/`` and the README's library example reach into."""
+number type but ``int``, it keeps every name the benchmark harness in
+``perfbench/`` and the README's library example reach into, and it exports
+no name that only the tests use."""
 
 import ast
 import contextlib
@@ -90,6 +91,33 @@ def test_benchmark_worker_and_gate_attributes():
     assert tuple(lattice_gf.count_escaping(3, 3).counts) == (1, 56, 3432, 214592)
     assert lattice_gf.restricted_path_gf(1, restriction, 0, 4).coeffs == (1, 2, 8, 24)
     assert lattice_gf.cramer_ratio_check(1, 1, 4) is True
+
+
+def referenced_names(path: Path):
+    """Names that ``path`` reads: variables, attributes, and strings that are
+    exactly an identifier, as the tracer's and the CLI's ``getattr`` tables
+    hold them.  A name's own ``def`` or ``class`` line and an import of it
+    are not references."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
+
+
+def test_public_names_have_a_caller_outside_the_tests():
+    # A public name that only tests reach is surface to delete, not to keep.
+    import lattice_gf
+
+    callers = [path for path in SOURCES if path.name != "__init__.py"]
+    callers += sorted((ROOT / "perfbench").glob("*.py"))
+    used = set()
+    for path in callers:
+        used.update(referenced_names(path))
+    assert sorted(set(lattice_gf.__all__) - used) == []
 
 
 def test_readme_library_example_runs():

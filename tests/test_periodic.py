@@ -1,4 +1,5 @@
-"""Tests for periodic admissible-time sets and cyclic shift distances."""
+"""Tests for periodic admissible-time sets, and for the cyclic shift distance
+that the system tests index multisections with."""
 
 import copy
 import pickle
@@ -8,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lattice_gf import system
-from lattice_gf.periodic import PeriodicSet, hajnal_nagy_set, shift_distance
+from lattice_gf.periodic import PeriodicSet, hajnal_nagy_set
 
-from helpers import polygon_distance
+from helpers import polygon_distance, shift_distance
 
 
 class TestValidation:

@@ -80,8 +80,12 @@ class TestConstruction:
             TruncatedSeries([])
 
     def test_str_signs(self):
+        # The repr is exact: every coefficient, zeros and signs included,
+        # and it evaluates back to an equal series.
         s = series([1, -2, 0, 3, -1])
-        assert str(s) == "1 - 2*t + 3*t^3 - t^4 + O(t^5)"
+        assert repr(s) == str(s) == "TruncatedSeries((1, -2, 0, 3, -1))"
+        assert repr(series([7])) == "TruncatedSeries((7,))"
+        assert eval(repr(s), {"TruncatedSeries": TruncatedSeries}) == s
 
 
 class TestRingOps:

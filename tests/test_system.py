@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lattice_gf import loops, system
 from lattice_gf.loops import LoopModel
 from lattice_gf.oracle import count_restricted
-from lattice_gf.periodic import PeriodicSet, hajnal_nagy_set, shift_distance
+from lattice_gf.periodic import PeriodicSet, hajnal_nagy_set
 from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import (
     SeriesMatrix,
@@ -28,6 +28,7 @@ from helpers import (
     one_forbidden_closed_form,
     period_two_closed_form,
     reduction_check,
+    shift_distance,
 )
 
 
