@@ -19,12 +19,32 @@ upper-left quarter directly.  ``system.series_determinant`` runs the
 elimination kernel on either, keeping each entry as a series in ``t**n``.
 The row relation needs no matrix: it reads the ``n`` multisections of the
 two series, which are the first rows of the two circulants.
+
+The three determinant checks of one ``(dim, k, order)`` share one staircase
+record, ``_staircase``: the restriction quarter, the escaping quarter and
+the column-substituted quarter, whose first column is the escaping one,
+all built when the record is made, and their determinants.  Each
+determinant is eliminated once per record, by the first check that reads
+it, so no check pays for a determinant it does not compare, and a check
+costs about the same whichever check of its record ran first.  Only the
+full circulant of ``hn_determinant_check`` lies outside the record.  The
+records sit in a ``functools.lru_cache`` bounded by
+``STAIRCASE_CACHE_SIZE``, least recently used dropped first.  Its key is
+typed, because ``2.0 == 2`` and ``True == 1`` hash alike: an untyped key
+would answer a float or boolean argument from the entry of an ``int`` one,
+where a cold call raises ``TypeError``.  A call that raises caches nothing.
 """
+
+import functools
 
 from .loops import LoopModel
 from .periodic import hajnal_nagy_set
 from .series import TruncatedSeries, inv_sqrt_one_minus_monomial
 from .system import SeriesMatrix, _circulant_block, restricted_path_gf, series_determinant
+
+# Bound of the _staircase records; one identity-chain pass asks for 9
+# distinct (dim, k, order).
+STAIRCASE_CACHE_SIZE = 16
 
 
 def restriction_circulant(dim: int, n: int, order: int) -> SeriesMatrix:
@@ -41,14 +61,25 @@ def escaping_circulant(dim: int, n: int, order: int) -> SeriesMatrix:
     return _circulant_block(LoopModel(dim, order).escaping_gf(), n, range(n))
 
 
-def _quarters(dim: int, k: int, order: int) -> tuple[SeriesMatrix, SeriesMatrix]:
-    """Upper-left quarters of the ``2k x 2k`` restriction and escaping
-    circulants, built without the other three quarters."""
-    model = LoopModel(dim, order)
-    return (
-        _circulant_block(model.reciprocal_loop_gf(), 2 * k, range(k)),
-        _circulant_block(model.escaping_gf(), 2 * k, range(k)),
-    )
+class _Staircase(dict):
+    """Determinants of the restriction, escaping and column-substituted
+    quarters of the ``2k x 2k`` circulants of one ``(dim, k, order)``, by
+    name.  The quarters are built with the record; each determinant is
+    eliminated on first use."""
+
+    def __init__(self, dim: int, k: int, order: int):
+        model = LoopModel(dim, order)
+        restriction = _circulant_block(model.reciprocal_loop_gf(), 2 * k, range(k))
+        escaping = _circulant_block(model.escaping_gf(), 2 * k, range(k))
+        rows = [(e[0], *r[1:]) for r, e in zip(restriction.rows, escaping.rows)]
+        substituted = SeriesMatrix(rows, restriction.grading)
+        self.quarters = dict(restriction=restriction, escaping=escaping, substituted=substituted)
+
+    def __missing__(self, name: str) -> TruncatedSeries:
+        return self.setdefault(name, series_determinant(self.quarters[name]))
+
+
+_staircase = functools.lru_cache(maxsize=STAIRCASE_CACHE_SIZE, typed=True)(_Staircase)
 
 
 def row_relation_check(dim: int, n: int, order: int) -> bool:
@@ -91,12 +122,8 @@ def column_substitution_check(dim: int, k: int, order: int) -> bool:
     Column operations using the entry-wise row relation turn the substituted
     matrix into the escaping quarter without changing the determinant.
     """
-    restriction, escaping = _quarters(dim, k, order)
-    substituted = SeriesMatrix(
-        [(e[0], *r[1:]) for r, e in zip(restriction.rows, escaping.rows)],
-        restriction.grading,
-    )
-    return series_determinant(substituted) == series_determinant(escaping)
+    record = _staircase(dim, k, order)
+    return record["substituted"] == record["escaping"]
 
 
 def cramer_ratio_check(dim: int, k: int, order: int) -> bool:
@@ -105,8 +132,8 @@ def cramer_ratio_check(dim: int, k: int, order: int) -> bool:
     target = restricted_path_gf(dim, hajnal_nagy_set(k), 0, order).multisection(
         2 * k, 0
     )
-    restriction, escaping = _quarters(dim, k, order)
-    return series_determinant(escaping) == target * series_determinant(restriction)
+    record = _staircase(dim, k, order)
+    return record["escaping"] == target * record["restriction"]
 
 
 def hn_determinant_check(k: int, order: int) -> bool:
@@ -117,13 +144,9 @@ def hn_determinant_check(k: int, order: int) -> bool:
     circulants are inverse to each other when ``dim == 1``).  Second, the
     full determinant is exactly ``sqrt(1 - (4t)**(2k))``.
     """
-    full = restriction_circulant(1, 2 * k, order)
-    det_full = series_determinant(full)
-    det_restriction = series_determinant(quarter(full))
-    det_escaping = series_determinant(
-        _circulant_block(LoopModel(1, order).escaping_gf(), 2 * k, range(k))
-    )
-    block_identity = det_escaping * det_full == det_restriction
+    det_full = series_determinant(restriction_circulant(1, 2 * k, order))
+    record = _staircase(1, k, order)
+    block_identity = record["escaping"] * det_full == record["restriction"]
     closed_form = (
         det_full * inv_sqrt_one_minus_monomial(4 ** (2 * k), 2 * k, order)
         == TruncatedSeries.one(order)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from lattice_gf import circulant
+from lattice_gf import circulant, loops, system
 from lattice_gf.circulant import (
     column_substitution_check,
     cramer_ratio_check,
@@ -19,6 +19,19 @@ from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import SeriesMatrix, build_system
 
 from helpers import identity_matrix, matmul
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Every test starts and ends with no staircase record, reciprocal loop
+    series or solved system cached."""
+    clears = (circulant._staircase.cache_clear, loops._reciprocals.clear,
+              system._solutions.clear)
+    for clear in clears:
+        clear()
+    yield
+    for clear in clears:
+        clear()
 
 
 def series(values):
@@ -205,13 +218,16 @@ class TestQuarter:
 
     @pytest.mark.parametrize("dim, k", [(1, 1), (1, 3), (2, 2), (3, 1)])
     def test_direct_quarters_match_sliced_circulants(self, dim, k):
-        # The checks build the quarters as blocks of the circulant; they
-        # must be the quarters of the full circulants, grading included.
-        direct = circulant._quarters(dim, k, 11)
-        full = (restriction_circulant(dim, 2 * k, 11), escaping_circulant(dim, 2 * k, 11))
-        for block, circ in zip(direct, full):
-            assert block.rows == quarter(circ).rows
-            assert block.grading == quarter(circ).grading
+        # The staircase record builds each quarter as a block of the
+        # circulant; it must be the quarter of the full circulant, grading
+        # included.
+        model = LoopModel(dim, 11)
+        for gf, build in ((model.reciprocal_loop_gf(), restriction_circulant),
+                          (model.escaping_gf(), escaping_circulant)):
+            block = circulant._circulant_block(gf, 2 * k, range(k))
+            sliced = quarter(build(dim, 2 * k, 11))
+            assert block.rows == sliced.rows
+            assert block.grading == sliced.grading
 
 
 class TestGradedDeterminant:
@@ -256,19 +272,80 @@ class TestDeterminantChain:
         with pytest.raises(ValueError, match="^circulant size must be positive$"):
             hn_determinant_check(k, 5)
 
-    def test_hn_check_builds_only_the_escaping_quarter(self, monkeypatch):
-        # The full restriction circulant is needed for its determinant; of
-        # the escaping circulant only the upper-left quarter is.
+    def test_hn_check_builds_each_quarter_once(self, monkeypatch):
+        # The full restriction circulant is needed for its determinant; the
+        # cold staircase record builds the restriction and escaping quarters
+        # (reciprocal and escaping series: t-coefficients -2 and 2), and a
+        # warm one builds nothing.
         built = []
         block = circulant._circulant_block
 
         def recording(series, period, labels):
-            built.append((period, tuple(labels)))
+            built.append((series.coeffs[1], period, tuple(labels)))
             return block(series, period, labels)
 
         monkeypatch.setattr(circulant, "_circulant_block", recording)
         assert hn_determinant_check(3, 14)
-        assert built == [(6, tuple(range(6))), (6, (0, 1, 2))]
+        assert built == [(-2, 6, tuple(range(6))), (-2, 6, (0, 1, 2)), (2, 6, (0, 1, 2))]
+        built.clear()
+        assert hn_determinant_check(3, 14)
+        assert built == [(-2, 6, tuple(range(6)))]
+
+    def test_each_check_eliminates_only_what_it_compares(self, monkeypatch):
+        # A determinant of the record is eliminated by the first check that
+        # reads it, so no check pays for the substituted quarter unless it
+        # compares it, whichever check of the record runs first.
+        sizes = []
+        determinant = circulant.series_determinant
+        monkeypatch.setattr(circulant, "series_determinant",
+                            lambda matrix: sizes.append(matrix.n) or determinant(matrix))
+        steps = [(cramer_ratio_check, (1, 3, 14), [3, 3]),
+                 (column_substitution_check, (1, 3, 14), [3]),
+                 (hn_determinant_check, (3, 14), [6]),
+                 (column_substitution_check, (2, 2, 14), [2, 2]),
+                 (cramer_ratio_check, (2, 2, 14), [2])]
+        for check, args, expected in steps:
+            sizes.clear()
+            assert check(*args)
+            assert sizes == expected, check.__name__
+
+    def test_warm_record_refuses_non_int_arguments(self):
+        # The key is typed: 2.0 and True hash like 2 and 1, and must raise
+        # as on a cold cache instead of answering from the int entry.
+        assert column_substitution_check(1, 2, 20)
+        assert column_substitution_check(2, 2, 20)
+        before = circulant._staircase.cache_info().currsize
+        for args in ((1, 2.0, 20), (2.0, 2, 20), (True, 2, 20), (1, 2, 20.0)):
+            with pytest.raises(TypeError):
+                column_substitution_check(*args)
+        assert circulant._staircase.cache_info().currsize == before == 2
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bumped_escaping_series_fails_every_check(self, monkeypatch, dim):
+        # One more escaping walk of length 2 breaks the row relation that
+        # the column substitution, Cramer's rule and the block identity
+        # rest on, so no check may pass by comparing a value with itself.
+        escaping_gf = LoopModel.escaping_gf
+
+        def bumped(model):
+            coeffs = list(escaping_gf(model).coeffs)
+            coeffs[1] += 1
+            return TruncatedSeries(coeffs)
+
+        monkeypatch.setattr(LoopModel, "escaping_gf", bumped)
+        assert not column_substitution_check(dim, 2, 14)
+        assert not cramer_ratio_check(dim, 2, 14)
+        if dim == 1:
+            assert not hn_determinant_check(2, 14)
+
+    @pytest.mark.parametrize("dim, k", [(1, 1), (1, 3), (2, 2)])
+    def test_cramer_detects_a_wrong_target(self, monkeypatch, dim, k):
+        # t**(2k) lies in class 0 mod 2k, so it changes the solved even
+        # multisection and nothing in the staircase record.
+        solve = circulant.restricted_path_gf
+        monkeypatch.setattr(circulant, "restricted_path_gf", lambda *args: (
+            solve(*args) + TruncatedSeries.monomial(1, 2 * k, args[-1])))
+        assert not cramer_ratio_check(dim, k, 14)
 
     def test_inverse_pair_dim1(self):
         for n in (2, 4, 6):

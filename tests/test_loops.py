@@ -13,10 +13,13 @@ from helpers import central_binomial, load_benchmark_module
 
 @pytest.fixture(autouse=True)
 def cold_reciprocals():
-    """Every test starts and ends with an empty reciprocal cache."""
+    """Every test starts and ends with an empty reciprocal cache and no
+    staircase record."""
     loops._reciprocals.clear()
+    circulant._staircase.cache_clear()
     yield
     loops._reciprocals.clear()
+    circulant._staircase.cache_clear()
 
 
 def loop_count(dim, k):
@@ -244,6 +247,30 @@ class TestLoopInversionCounts:
         # The one dim-2 inversion; every other inversion is a pivot.
         assert loop_series == [60]
         assert len(inverted) > 1
+
+    def test_identity_chain_eliminates_each_staircase_quarter_once(self, monkeypatch):
+        tasks = load_benchmark_module("workloads").build_tasks("identity-chain", 1, "full")
+        hn_args = [task["args"] for task in tasks if task["name"] == "hn_determinant_check"]
+        records = {tuple(task["args"]) for task in tasks if task["name"] == "cramer_ratio_check"}
+        assert {(1, k, order) for k, order in hn_args} <= records
+        bound = circulant._staircase.cache_info().maxsize
+        assert bound == circulant.STAIRCASE_CACHE_SIZE
+        assert isinstance(bound, int) and bound >= len(records) == 9
+        system._solutions.clear()
+        sizes = []
+        determinant = circulant.series_determinant
+        monkeypatch.setattr(circulant, "series_determinant",
+                            lambda matrix: sizes.append(matrix.n) or determinant(matrix))
+        for task in tasks:
+            assert getattr(circulant, task["name"])(*task["args"]), task
+        # Three quarters per record and one full circulant per
+        # hn_determinant_check: 9 * 3 + 6.
+        assert len(sizes) == 33
+        sizes.clear()
+        for task in tasks:
+            assert getattr(circulant, task["name"])(*task["args"]), task
+        # A warm pass eliminates only the full circulants.
+        assert sorted(sizes) == sorted(2 * k for k, _ in hn_args) and len(hn_args) == 6
 
     def test_verify_hn_inverts_no_loop_series(self, monkeypatch, capsys):
         system._solutions.clear()
