@@ -32,11 +32,13 @@ records sit in a ``functools.lru_cache`` bounded by
 ``STAIRCASE_CACHE_SIZE``, least recently used dropped first.  Its key is
 typed, because ``2.0 == 2`` and ``True == 1`` hash alike: an untyped key
 would answer a float or boolean argument from the entry of an ``int`` one,
-where a cold call raises ``TypeError``.  A call that raises caches nothing.
+where a cold call raises ``TypeError``.  A call that raises caches nothing,
+and a non-``int`` staircase size is refused before any record is read.
 """
 
 import functools
 
+from .errors import check_int
 from .loops import LoopModel
 from .periodic import hajnal_nagy_set
 from .series import TruncatedSeries, inv_sqrt_one_minus_monomial
@@ -53,11 +55,13 @@ def restriction_circulant(dim: int, n: int, order: int) -> SeriesMatrix:
     The first row splits the reciprocal loop series, which is one minus the
     simple-loop series, into its ``n`` multisections.
     """
+    check_int("circulant size", n)
     return _circulant_block(LoopModel(dim, order).reciprocal_loop_gf(), n, range(n))
 
 
 def escaping_circulant(dim: int, n: int, order: int) -> SeriesMatrix:
     """Circulant built from the multisections of the escaping series."""
+    check_int("circulant size", n)
     return _circulant_block(LoopModel(dim, order).escaping_gf(), n, range(n))
 
 
@@ -93,6 +97,7 @@ def row_relation_check(dim: int, n: int, order: int) -> bool:
     previous escaping multisection.
     """
     model = LoopModel(dim, order)
+    check_int("circulant size", n)
     if n < 1:
         raise ValueError("circulant size must be positive")
     reciprocal, escaping = model.reciprocal_loop_gf(), model.escaping_gf()
@@ -122,6 +127,7 @@ def column_substitution_check(dim: int, k: int, order: int) -> bool:
     Column operations using the entry-wise row relation turn the substituted
     matrix into the escaping quarter without changing the determinant.
     """
+    check_int("k", k)
     record = _staircase(dim, k, order)
     return record["substituted"] == record["escaping"]
 
@@ -144,6 +150,7 @@ def hn_determinant_check(k: int, order: int) -> bool:
     circulants are inverse to each other when ``dim == 1``).  Second, the
     full determinant is exactly ``sqrt(1 - (4t)**(2k))``.
     """
+    check_int("k", k)
     det_full = series_determinant(restriction_circulant(1, 2 * k, order))
     record = _staircase(1, k, order)
     block_identity = record["escaping"] * det_full == record["restriction"]

@@ -26,17 +26,20 @@ factor is usually quoted.
 at the highest order asked so far.  Every model of that dimension is served
 from it, a lower order by slicing, which is exact because inversion is
 causal; a higher order computes ``M`` again and replaces the entry.
-Dimension 1 needs no inversion at all: there ``M = sqrt(1 - 4t)``, whose
-coefficients ``-2 Catalan(k-1)`` follow the exact ratio recurrence
-``c_k = c_{k-1} * 2 (2k - 3) / k``.
+
+Both closed forms come from ``series.half_power_coeffs``, the one expansion
+of ``(1 - 4t) ** (+-1/2)`` in the package: ``comb(2k, k)`` is the ``t**k``
+coefficient of ``(1 - 4t) ** (-1/2)``, raised to the power ``d`` for the
+loop series.  Dimension 1 needs no inversion at all: there
+``M = (1 - 4t) ** (1/2)``, whose coefficients are ``-2 Catalan(k-1)``.
 
 Both derived series feed the restricted-walk linear system: between two
 consecutive visits of the space origin a walk is exactly a simple loop, and
 after the last visit it is escaping.
 """
 
-from .errors import ResourceLimitError
-from .series import TruncatedSeries
+from .errors import ResourceLimitError, check_int
+from .series import TruncatedSeries, half_power_coeffs
 
 # Generating functions stay cheap in any dimension, but the coefficients
 # comb(2k, k)**d grow fast enough that a guard keeps accidental huge inputs
@@ -48,24 +51,11 @@ MAX_GF_DIM = 4
 _reciprocals: dict = {}
 
 
-def _sqrt_one_minus_4t(order: int) -> TruncatedSeries:
-    """``sqrt(1 - 4t)``, the one-dimensional reciprocal loop series."""
-    coeffs = [1] * order
-    c = 1
-    for k in range(1, order):
-        # Exact: c_k = -2 Catalan(k - 1) is an integer.
-        c = c * 2 * (2 * k - 3) // k
-        coeffs[k] = c
-    return TruncatedSeries(coeffs)
-
-
 def check_dim_and_order(dim: int, order: int) -> None:
     """Refuse a dimension or truncation order the loop series cannot take."""
-    # Types first: 2.0 and True hash like 2 and 1, so they would otherwise
-    # be served from a process-wide cache.
-    for name, value in (("dimension", dim), ("truncation order", order)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    # Types first: the loop series are served from a process-wide cache.
+    check_int("dimension", dim)
+    check_int("truncation order", order)
     if dim < 1:
         raise ValueError("dimension must be positive")
     if order < 1:
@@ -97,20 +87,18 @@ class LoopModel:
 
     def loop_gf(self) -> TruncatedSeries:
         """Series whose coefficient at ``t**k`` counts length-``2k`` loops."""
-        coeffs = [1] * self.order
-        central = 1
-        for k in range(1, self.order):
-            # comb(2k, k) = comb(2k - 2, k - 1) * 2 (2k - 1) / k, exactly.
-            central = central * 2 * (2 * k - 1) // k
-            coeffs[k] = central**self.dim
-        return TruncatedSeries(coeffs)
+        # comb(2k, k) is the t**k coefficient of (1 - 4t)**(-1/2).
+        return TruncatedSeries(c**self.dim for c in half_power_coeffs(1, -1, self.order))
 
     def reciprocal_loop_gf(self) -> TruncatedSeries:
         """``1 / loop_gf``, served from the per-process cache ``_reciprocals``."""
         dim, order = self.dim, self.order
         cached = _reciprocals.get(dim)
         if cached is None or cached.order < order:
-            cached = _sqrt_one_minus_4t(order) if dim == 1 else self.loop_gf().inverse()
+            if dim == 1:
+                cached = TruncatedSeries(half_power_coeffs(1, 1, order))
+            else:
+                cached = self.loop_gf().inverse()
             _reciprocals[dim] = cached
         if cached.order == order:
             return cached

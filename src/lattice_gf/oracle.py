@@ -33,7 +33,7 @@ this mass balance at every step and raises ``ArithmeticError`` if it fails.
 from collections.abc import Callable
 from operator import add
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_int
 from .periodic import PeriodicSet
 
 # Budget on cells of the unfolded grid, (4K + 3)**d; covers dimension 3 to K = 13.
@@ -59,6 +59,10 @@ class PathCountTable:
 
 
 def _check_budget(dim: int, max_half_len: int, max_cells: int | None) -> None:
+    check_int("dimension", dim)
+    check_int("half-length", max_half_len)
+    if max_cells is not None:
+        check_int("max_cells", max_cells)
     if dim < 1:
         raise ValueError("dimension must be positive")
     if max_half_len < 0:

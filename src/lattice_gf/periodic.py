@@ -6,6 +6,8 @@ fixed period at which touching the origin is allowed.  Residue 0 is always
 admissible because every walk starts on the axis.
 """
 
+from .errors import check_int
+
 
 class PeriodicSet:
     """Admissible residues on the half-time axis, repeating with ``period``.
@@ -72,6 +74,7 @@ def hajnal_nagy_set(k: int) -> PeriodicSet:
     restricted-walk generating function has the closed form
     ``(1 - (4t)**(2k)) ** (-1/2)`` in one dimension.
     """
+    check_int("k", k)
     if k < 1:
         raise ValueError("k must be a positive integer")
     return PeriodicSet(tuple(range(k)), 2 * k)

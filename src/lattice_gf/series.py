@@ -9,6 +9,14 @@ floating-point or decimal coefficient is refused with ``TypeError``.  The
 ring stays closed: only series with constant term +-1 are inverted, and the
 square-root expansion needs a base divisible by 4.
 
+The binomial family ``(1 - 4 b x) ** (+-1/2)`` is expanded in one place,
+``half_power_coeffs``.  ``loops`` raises the coefficients of
+``(1 - 4t) ** (-1/2)``, the central binomials, to the power ``d`` for the
+loop series, and takes ``(1 - 4t) ** (1/2)`` as the one-dimensional
+reciprocal loop series.  ``inv_sqrt_one_minus_monomial`` places the
+``-1/2`` case at every ``exponent``-th index, which gives the Hajnal-Nagy
+closed form ``(1 - (4t)**(2k)) ** (-1/2)``.
+
 The order is part of the value: binary operations refuse operands of
 different orders instead of silently re-truncating, which keeps long identity
 chains honest about how far they are exact.
@@ -19,7 +27,6 @@ path length ``2j``.
 """
 
 from collections.abc import Iterable
-from math import comb
 from operator import add, index, neg, sub
 
 _INT = frozenset((int,))
@@ -113,8 +120,6 @@ class TruncatedSeries:
         return TruncatedSeries(map(neg, self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedSeries(c * other for c in self.coeffs)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
@@ -181,6 +186,25 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.coeffs!r})"
 
 
+def half_power_coeffs(base: int, sign: int, count: int) -> list:
+    """The first ``count`` coefficients of ``(1 - 4 base x) ** (sign / 2)``,
+    ``sign`` +-1, in one pass of the exact ratio recurrence
+
+        c_j = c_{j-1} * 2 (2j - 2 - sign) * base / j.
+
+    For ``sign = -1`` this is ``comb(2j, j) * base**j``, for ``sign = +1``
+    and ``j >= 1`` it is ``-2 Catalan(j - 1) * base**j``: integers, so the
+    floor division is exact.
+    """
+    coeffs = [1] * count
+    c = 1
+    for j in range(1, count):
+        # The small factor first: one big-integer product per term.
+        c = c * (2 * (2 * j - 2 - sign) * base) // j
+        coeffs[j] = c
+    return coeffs
+
+
 def inv_sqrt_one_minus_monomial(coeff: int, exponent: int, order: int) -> TruncatedSeries:
     """Expansion of ``(1 - coeff * t**exponent) ** (-1/2)``.
 
@@ -197,11 +221,6 @@ def inv_sqrt_one_minus_monomial(coeff: int, exponent: int, order: int) -> Trunca
         raise ValueError(
             f"coefficient {coeff} is not a multiple of 4: the expansion leaves Z[[t]]"
         )
-    base, power = coeff // 4, 1
     out = [0] * order
-    j = 0
-    while j * exponent < order:
-        out[j * exponent] = comb(2 * j, j) * power
-        power *= base
-        j += 1
+    out[::exponent] = half_power_coeffs(coeff // 4, -1, (order - 1) // exponent + 1)
     return TruncatedSeries(out)

@@ -53,6 +53,7 @@ empty, needs no solve at all and gives ``4**(d j)``.
 from collections import OrderedDict
 from collections.abc import Sequence
 
+from .errors import check_int
 from .loops import LoopModel, check_dim_and_order, geometric_sum
 from .periodic import PeriodicSet
 from .series import TruncatedSeries, product_coeffs
@@ -160,8 +161,6 @@ def _eliminate(matrix: SeriesMatrix, rhs: Sequence[TruncatedSeries] = ()):
             c = classes[j][i]
             row_j = rows[j]
             factor = product_coeffs(row_j[i], inv, len(row_j[i]))
-            if not any(factor):
-                continue
             for m in range(i + 1, n):
                 # t**c f times t**b g is t**((c + b) % period) times
                 # u**carry f g, where the carry is 1 when c + b >= period.
@@ -281,11 +280,9 @@ def solve_complement(
 class RestrictedPathSolution:
     """Solved walk series per admissible start residue."""
 
-    __slots__ = ("restriction", "dim", "series")
+    __slots__ = ("series",)
 
-    def __init__(self, restriction: PeriodicSet, dim: int, series: dict[int, TruncatedSeries]):
-        self.restriction = restriction
-        self.dim = dim
+    def __init__(self, series: dict[int, TruncatedSeries]):
         self.series = series
 
 
@@ -340,9 +337,7 @@ def solve_restricted(dim: int, restriction: PeriodicSet, order: int) -> Restrict
     """Solve the system once per (dim, restriction); lower orders are served
     from the cached prefix."""
     solved = _solution_tuple(dim, restriction, order)
-    return RestrictedPathSolution(
-        restriction, dim, dict(zip(restriction.residues, solved))
-    )
+    return RestrictedPathSolution(dict(zip(restriction.residues, solved)))
 
 
 def restricted_path_gf(
@@ -356,8 +351,7 @@ def restricted_path_gf(
     """
     # 2.0 and True would be answered as residues 0 and 1, and '0' % period
     # is string formatting.
-    if not isinstance(start_residue, int) or isinstance(start_residue, bool):
-        raise TypeError(f"start residue must be an int, not {type(start_residue).__name__}")
+    check_int("start residue", start_residue)
     reduced = start_residue % restriction.period
     if reduced not in restriction.residues:
         raise ValueError(

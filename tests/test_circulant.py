@@ -2,7 +2,7 @@
 
 import pytest
 
-from lattice_gf import circulant, loops, system
+from lattice_gf import circulant
 from lattice_gf.circulant import (
     column_substitution_check,
     cramer_ratio_check,
@@ -19,19 +19,6 @@ from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import SeriesMatrix, build_system
 
 from helpers import identity_matrix, matmul
-
-
-@pytest.fixture(autouse=True)
-def cold_caches():
-    """Every test starts and ends with no staircase record, reciprocal loop
-    series or solved system cached."""
-    clears = (circulant._staircase.cache_clear, loops._reciprocals.clear,
-              system._solutions.clear)
-    for clear in clears:
-        clear()
-    yield
-    for clear in clears:
-        clear()
 
 
 def series(values):
@@ -308,6 +295,26 @@ class TestDeterminantChain:
             sizes.clear()
             assert check(*args)
             assert sizes == expected, check.__name__
+
+    @pytest.mark.parametrize("k", [True, 2.0, "2"])
+    def test_staircase_checks_refuse_non_int_size(self, k):
+        # True would be answered as k = 1 and stored as a second record next
+        # to the warm one; 2.0 and '2' would reach range() or %.
+        assert column_substitution_check(1, 1, 14)
+        before = circulant._staircase.cache_info().currsize
+        name = type(k).__name__
+        with pytest.raises(TypeError, match=f"^k must be an int, not {name}$"):
+            column_substitution_check(1, k, 14)
+        with pytest.raises(TypeError, match=f"^k must be an int, not {name}$"):
+            cramer_ratio_check(1, k, 14)
+        with pytest.raises(TypeError, match=f"^k must be an int, not {name}$"):
+            hn_determinant_check(k, 14)
+        with pytest.raises(TypeError, match=f"^circulant size must be an int, not {name}$"):
+            row_relation_check(1, k, 8)
+        for build in (restriction_circulant, escaping_circulant):
+            with pytest.raises(TypeError, match=f"^circulant size must be an int, not {name}$"):
+                build(1, k, 8)
+        assert circulant._staircase.cache_info().currsize == before == 1
 
     def test_warm_record_refuses_non_int_arguments(self):
         # The key is typed: 2.0 and True hash like 2 and 1, and must raise

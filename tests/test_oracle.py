@@ -136,6 +136,25 @@ class TestResourceBudget:
         with pytest.raises(ValueError):
             count_loops(1, max_half_len=-1)
 
+    @pytest.mark.parametrize("args, name, kind", [
+        ((True, 3), "dimension", "bool"),
+        ((2.0, 3), "dimension", "float"),
+        ((1, True), "half-length", "bool"),
+        ((1, 3.0), "half-length", "float"),
+        ((1, 3, True), "max_cells", "bool"),
+        ((1, 3, 1e6), "max_cells", "float"),
+    ])
+    def test_non_int_arguments_refused(self, args, name, kind):
+        # True would count dimension 1, half-length 1 or a budget of one
+        # cell; a float would reach list repetition.
+        for count in (count_loops, count_simple_loops, count_escaping):
+            with pytest.raises(TypeError, match=f"^{name} must be an int, not {kind}$"):
+                count(*args)
+        restricted = (args[0], PeriodicSet((0,), 2), *args[1:])
+        for count in (count_restricted, count_odd_length):
+            with pytest.raises(TypeError, match=f"^{name} must be an int, not {kind}$"):
+                count(*restricted)
+
 
 KIND_COUNTERS = {
     "restricted": count_restricted,

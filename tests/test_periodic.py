@@ -170,3 +170,9 @@ class TestStaircaseFamily:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             hajnal_nagy_set(0)
+
+    @pytest.mark.parametrize("k", [True, 2.0, "2"])
+    def test_non_int_k_refused(self, k):
+        # True would give PeriodicSet((0,), 2), the set of k = 1.
+        with pytest.raises(TypeError, match=f"^k must be an int, not {type(k).__name__}$"):
+            hajnal_nagy_set(k)

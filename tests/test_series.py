@@ -2,12 +2,13 @@
 
 from decimal import Decimal
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_gf.series import TruncatedSeries, inv_sqrt_one_minus_monomial
+from lattice_gf.series import TruncatedSeries, half_power_coeffs, inv_sqrt_one_minus_monomial
 
 from helpers import catalan, sqrt_one_minus_4t
 
@@ -109,9 +110,12 @@ class TestRingOps:
             series([0, 1, 2]).inverse()
 
     def test_scalar_multiplication(self):
+        # A series multiplies only series: an int factor is a constant monomial.
         s = series([1, 2, 3])
-        assert (2 * s).coeffs == (2, 4, 6)
-        assert (s * -3).coeffs == (-3, -6, -9)
+        with pytest.raises(TypeError):
+            2 * s
+        with pytest.raises(TypeError):
+            s * -3
 
     def test_order_mismatch_rejected(self):
         a = series([1, 2])
@@ -178,7 +182,8 @@ class TestExactness:
         a = TruncatedSeries([1, 3, 0, -2, 5, 0, 7])
         b = TruncatedSeries([-1, 0, 4, 1, 0, 0, 2])
         for result in (a * b, a.inverse(), b.inverse(), a.multisection(3, 1),
-                       a * TruncatedSeries.monomial(4, 2, 7), 3 * a, a + b,
+                       a * TruncatedSeries.monomial(4, 2, 7),
+                       TruncatedSeries.monomial(3, 0, 7) * a, a + b,
                        a - b, -a):
             assert all_int(result), result
 
@@ -306,3 +311,19 @@ class TestInverseSquareRoot:
         inv = inv_sqrt_one_minus_monomial(4 * c, m, order)
         base = TruncatedSeries.one(order) - TruncatedSeries.monomial(4 * c, m, order)
         assert inv * inv * base == TruncatedSeries.one(order)
+
+
+class TestHalfPowerCoeffs:
+    """The one expansion of ``(1 - 4 base x) ** (sign / 2)`` behind ``L``,
+    the dim-1 ``1/L`` and the Hajnal-Nagy closed form, against binomials."""
+
+    @pytest.mark.parametrize("base", [-1, 0, 1, 4, 4**6])
+    def test_against_comb(self, base):
+        # (1 - 4bx)**(-1/2) has comb(2j, j) b**j, and (1 - 4bx)**(1/2) has
+        # -comb(2j, j) / (2j - 1) b**j = -2 Catalan(j - 1) b**j for j >= 1.
+        inverse = [comb(2 * j, j) * base**j for j in range(61)]
+        root = [1] + [-(comb(2 * j, j) // (2 * j - 1)) * base**j for j in range(1, 61)]
+        for count in range(61):
+            got = half_power_coeffs(base, -1, count), half_power_coeffs(base, 1, count)
+            assert got == (inverse[:count], root[:count])
+            assert all(type(c) is int for c in got[0] + got[1])
