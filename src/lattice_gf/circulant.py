@@ -18,7 +18,9 @@ restriction system, ``system._circulant_block``: rows and columns
 upper-left quarter directly.  ``system.series_determinant`` runs the
 elimination kernel on either, keeping each entry as a series in ``t**n``.
 The row relation needs no matrix: it reads the ``n`` multisections of the
-two series, which are the first rows of the two circulants.
+two series, which are the first rows of the two circulants.  Nor does the
+full determinant: ``_circulant_norm`` takes it from an exact integer
+recurrence on the series itself, so no command eliminates a full circulant.
 
 The three determinant checks of one ``(dim, k, order)`` share one staircase
 record, ``_staircase``: the restriction quarter, the escaping quarter and
@@ -26,8 +28,7 @@ the column-substituted quarter, whose first column is the escaping one,
 all built when the record is made, and their determinants.  Each
 determinant is eliminated once per record, by the first check that reads
 it, so no check pays for a determinant it does not compare, and a check
-costs about the same whichever check of its record ran first.  Only the
-full circulant of ``hn_determinant_check`` lies outside the record.  The
+costs about the same whichever check of its record ran first.  The
 records sit in a ``functools.lru_cache`` bounded by
 ``STAIRCASE_CACHE_SIZE``, least recently used dropped first.  Its key is
 typed, because ``2.0 == 2`` and ``True == 1`` hash alike: an untyped key
@@ -142,16 +143,57 @@ def cramer_ratio_check(dim: int, k: int, order: int) -> bool:
     return record["escaping"] == target * record["restriction"]
 
 
+def _circulant_norm(f: TruncatedSeries, n: int) -> TruncatedSeries:
+    """Determinant of the ``n x n`` circulant of ``f``, with no elimination.
+
+    The discrete Fourier transform diagonalises a circulant, so for ``f``
+    with constant term 1 the determinant is ``prod_j f(zeta**j t) =
+    G(t**n)``, ``zeta`` running over the ``n``-th roots of unity.  With
+    ``D = t f' / f`` the averaged logarithmic derivative gives ``G_0 = 1``
+    and ``k G_k = sum_{i=1..k} D_{i n} G_{k-i}``, an exact integer division
+    because ``G`` is a determinant of integer series.  ``D`` comes from
+    ``f D = t f'``, so ``f`` is never inverted.
+    """
+    check_int("circulant size", n)
+    if n < 1:
+        raise ValueError("circulant size must be positive")
+    c = f.coeffs
+    if c[0] != 1:
+        raise ValueError(f"constant term {c[0]} is not 1: the circulant norm needs f(0) = 1")
+    support = [(i, fi) for i, fi in enumerate(c) if i and fi]
+    d = [0] * f.order
+    for k in range(1, f.order):
+        acc = k * c[k]
+        for i, fi in support:
+            if i >= k:
+                break
+            acc -= fi * d[k - i]
+        d[k] = acc
+    sections = d[::n]
+    g = [1] * len(sections)
+    for k in range(1, len(g)):
+        total, rest = divmod(sum(sections[i] * g[k - i] for i in range(1, k + 1)), k)
+        if rest:
+            raise ArithmeticError(f"circulant norm coefficient {k} is not an integer")
+        g[k] = total
+    out = [0] * f.order
+    out[::n] = g
+    return TruncatedSeries(out)
+
+
 def hn_determinant_check(k: int, order: int) -> bool:
     """One-dimensional determinant chain behind the Hajnal-Nagy identity.
 
     First, the escaping quarter determinant times the full circulant
     determinant gives back the restriction quarter determinant (the two full
     circulants are inverse to each other when ``dim == 1``).  Second, the
-    full determinant is exactly ``sqrt(1 - (4t)**(2k))``.
+    full determinant is exactly ``sqrt(1 - (4t)**(2k))``.  The full
+    determinant is the circulant norm of the reciprocal loop series, so no
+    full circulant is built or eliminated; the quarters come from the
+    staircase record.
     """
     check_int("k", k)
-    det_full = series_determinant(restriction_circulant(1, 2 * k, order))
+    det_full = _circulant_norm(LoopModel(1, order).reciprocal_loop_gf(), 2 * k)
     record = _staircase(1, k, order)
     block_identity = record["escaping"] * det_full == record["restriction"]
     closed_form = (

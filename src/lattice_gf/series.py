@@ -29,6 +29,8 @@ path length ``2j``.
 from collections.abc import Iterable
 from operator import add, index, neg, sub
 
+from .errors import check_int
+
 _INT = frozenset((int,))
 
 
@@ -52,6 +54,8 @@ def product_coeffs(f, g, size: int, shift: int = 0) -> list:
 
 
 def _check_section(q: int, r: int) -> None:
+    check_int("multisection modulus", q)
+    check_int("multisection residue", r)
     if q < 1:
         raise ValueError("multisection modulus must be positive")
     if not 0 <= r < q:
@@ -80,8 +84,10 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, coeff: int, exponent: int, order: int) -> "TruncatedSeries":
         """The series ``coeff * t**exponent`` (zero if the exponent is cut off)."""
+        check_int("truncation order", order)
         if order < 1:
             raise ValueError("truncation order must be positive")
+        check_int("exponent", exponent)
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
         row = [0] * order

@@ -18,7 +18,7 @@ from lattice_gf.periodic import PeriodicSet
 from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import SeriesMatrix, build_system
 
-from helpers import identity_matrix, matmul
+from helpers import identity_matrix, matmul, sqrt_one_minus_4t
 
 
 def series(values):
@@ -234,6 +234,54 @@ class TestGradedDeterminant:
             SeriesMatrix(matrix.rows))
 
 
+class TestCirculantNorm:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_elimination_of_the_full_circulant(self, dim):
+        # Elimination of the full circulant is the independent route.
+        order = 50
+        model = LoopModel(dim, order)
+        for gf, build in ((model.reciprocal_loop_gf(), restriction_circulant),
+                          (model.escaping_gf(), escaping_circulant)):
+            for n in range(1, 17):
+                assert circulant._circulant_norm(gf, n) == series_determinant(
+                    build(dim, n, order)), (n, build.__name__)
+
+    def test_sqrt_one_minus_4t_gives_the_collapse(self):
+        # The norm of sqrt(1 - 4t) is sqrt(1 - 4**n u) with u = t**n: the
+        # one-dimensional full determinant sqrt(1 - (4t)**(2k)) at n = 2k.
+        order = 200
+        root = sqrt_one_minus_4t(order)
+        for n in (1, 2, 3, 4, 7, 12, 16):
+            target, count = [0] * order, (order - 1) // n + 1
+            target[::n] = [c * 4 ** ((n - 1) * j) for j, c in enumerate(root[:count])]
+            assert circulant._circulant_norm(TruncatedSeries(root), n).coeffs == tuple(target), n
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_refuses_empty_size(self, n):
+        with pytest.raises(ValueError, match="^circulant size must be positive$"):
+            circulant._circulant_norm(TruncatedSeries.one(5), n)
+
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_refuses_non_int_size(self, n):
+        name = type(n).__name__
+        with pytest.raises(TypeError, match=f"^circulant size must be an int, not {name}$"):
+            circulant._circulant_norm(TruncatedSeries.one(5), n)
+
+    @pytest.mark.parametrize("c0", [2, -1])
+    def test_refuses_constant_term_other_than_one(self, c0):
+        with pytest.raises(ValueError, match=f"^constant term {c0} is not 1: "):
+            circulant._circulant_norm(TruncatedSeries([c0, 1, 0, 3]), 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_wrong_norm_fails_hn_check(self, monkeypatch, k):
+        # t**(2k) lies in the class of the full determinant; a norm off by it
+        # breaks the block identity and the closed form alike.
+        norm = circulant._circulant_norm
+        monkeypatch.setattr(circulant, "_circulant_norm", lambda f, n: (
+            norm(f, n) + TruncatedSeries.monomial(1, n, f.order)))
+        assert not hn_determinant_check(k, 14)
+
+
 class TestDeterminantChain:
     def test_column_substitution(self):
         for dim in (1, 2):
@@ -260,10 +308,10 @@ class TestDeterminantChain:
             hn_determinant_check(k, 5)
 
     def test_hn_check_builds_each_quarter_once(self, monkeypatch):
-        # The full restriction circulant is needed for its determinant; the
-        # cold staircase record builds the restriction and escaping quarters
-        # (reciprocal and escaping series: t-coefficients -2 and 2), and a
-        # warm one builds nothing.
+        # The full determinant is the circulant norm, so no full circulant
+        # is built; the cold staircase record builds the restriction and
+        # escaping quarters (reciprocal and escaping series: t-coefficients
+        # -2 and 2), and a warm one builds nothing.
         built = []
         block = circulant._circulant_block
 
@@ -273,22 +321,23 @@ class TestDeterminantChain:
 
         monkeypatch.setattr(circulant, "_circulant_block", recording)
         assert hn_determinant_check(3, 14)
-        assert built == [(-2, 6, tuple(range(6))), (-2, 6, (0, 1, 2)), (2, 6, (0, 1, 2))]
+        assert built == [(-2, 6, (0, 1, 2)), (2, 6, (0, 1, 2))]
         built.clear()
         assert hn_determinant_check(3, 14)
-        assert built == [(-2, 6, tuple(range(6)))]
+        assert built == []
 
     def test_each_check_eliminates_only_what_it_compares(self, monkeypatch):
         # A determinant of the record is eliminated by the first check that
         # reads it, so no check pays for the substituted quarter unless it
-        # compares it, whichever check of the record runs first.
+        # compares it, whichever check of the record runs first; the full
+        # determinant of hn_determinant_check is the circulant norm.
         sizes = []
         determinant = circulant.series_determinant
         monkeypatch.setattr(circulant, "series_determinant",
                             lambda matrix: sizes.append(matrix.n) or determinant(matrix))
         steps = [(cramer_ratio_check, (1, 3, 14), [3, 3]),
                  (column_substitution_check, (1, 3, 14), [3]),
-                 (hn_determinant_check, (3, 14), [6]),
+                 (hn_determinant_check, (3, 14), []),
                  (column_substitution_check, (2, 2, 14), [2, 2]),
                  (cramer_ratio_check, (2, 2, 14), [2])]
         for check, args, expected in steps:

@@ -520,6 +520,17 @@ class TestModuleEntryPoint:
         series = payload_to_series(json.loads(result.stdout)["coefficients"])
         assert series.coeffs == (1, 2, 8)
 
+    def test_verify_hn_holds_without_asserts(self):
+        # python -O strips every assert; the identity chain must not rest on
+        # one, so the output is the same with and without it.
+        argv = ["-m", "lattice_gf", "verify-hn", "--k-max", "3", "--order", "20"]
+        plain, optimised = (
+            subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True)
+            for flags in ([], ["-O"]))
+        assert (plain.returncode, optimised.returncode) == (0, 0), optimised.stderr
+        assert optimised.stdout == plain.stdout
+        assert plain.stdout.endswith("verify-hn: all checks passed\n")
+
     def test_import_does_not_load_numpy(self):
         # The package depends on the standard library alone.
         result = subprocess.run(

@@ -121,6 +121,14 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             PeriodicSet((0,), 2).is_admissible_half_time(-1)
 
+    @pytest.mark.parametrize("half_time", [1.5, True, -1.5])
+    def test_non_int_time_refused(self, half_time):
+        # True would be read as half-time 1 and 1.5 answered False; the type
+        # is checked before the sign, so -1.5 is a TypeError too.
+        name = type(half_time).__name__
+        with pytest.raises(TypeError, match=f"^half-time must be an int, not {name}$"):
+            PeriodicSet((0,), 2).is_admissible_half_time(half_time)
+
     @given(st.integers(min_value=0, max_value=100))
     def test_full_set_admits_everything(self, j):
         assert PeriodicSet(range(4), 4).is_admissible_half_time(j)

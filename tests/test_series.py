@@ -70,6 +70,15 @@ class TestConstruction:
     def test_monomial_beyond_order_is_zero(self):
         assert TruncatedSeries.monomial(7, 9, 4) == TruncatedSeries([0] * 4)
 
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_monomial_refuses_non_int_positions(self, bad):
+        # True would place the coefficient at index 1, or give order 1.
+        name = type(bad).__name__
+        with pytest.raises(TypeError, match=f"^exponent must be an int, not {name}$"):
+            TruncatedSeries.monomial(1, bad, 3)
+        with pytest.raises(TypeError, match=f"^truncation order must be an int, not {name}$"):
+            TruncatedSeries.monomial(1, 0, bad)
+
     def test_order_and_terms(self):
         s = series([1, 2, 3])
         assert s.order == 3
@@ -259,6 +268,16 @@ class TestMultisection:
         for q, r in ((2, 2), (2, -1), (0, 0)):
             with pytest.raises(ValueError):
                 s.multisection(q, r)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0])
+    def test_non_int_modulus_or_residue_refused(self, bad):
+        # True would be read as modulus 1 or residue 1.
+        s, name = series([1, 2, 3]), type(bad).__name__
+        for section in (s.multisection, s.is_multisection):
+            with pytest.raises(TypeError, match=f"^multisection modulus must be an int, not {name}$"):
+                section(bad, 0)
+            with pytest.raises(TypeError, match=f"^multisection residue must be an int, not {name}$"):
+                section(2, bad)
 
     @given(series_st(), st.integers(min_value=1, max_value=8))
     def test_multisection_partition(self, s, q):
