@@ -98,9 +98,7 @@ def row_relation_check(dim: int, n: int, order: int) -> bool:
     previous escaping multisection.
     """
     model = LoopModel(dim, order)
-    check_int("circulant size", n)
-    if n < 1:
-        raise ValueError("circulant size must be positive")
+    check_int("circulant size", n, 1)
     reciprocal, escaping = model.reciprocal_loop_gf(), model.escaping_gf()
     sections = [escaping.multisection(n, j) for j in range(n)]
     step = TruncatedSeries.monomial(4**dim, 1, order)
@@ -154,9 +152,7 @@ def _circulant_norm(f: TruncatedSeries, n: int) -> TruncatedSeries:
     because ``G`` is a determinant of integer series.  ``D`` comes from
     ``f D = t f'``, so ``f`` is never inverted.
     """
-    check_int("circulant size", n)
-    if n < 1:
-        raise ValueError("circulant size must be positive")
+    check_int("circulant size", n, 1)
     c = f.coeffs
     if c[0] != 1:
         raise ValueError(f"constant term {c[0]} is not 1: the circulant norm needs f(0) = 1")

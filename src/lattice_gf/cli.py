@@ -28,7 +28,7 @@ from .circulant import (
     hn_determinant_check,
     row_relation_check,
 )
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_int
 from .periodic import PeriodicSet, hajnal_nagy_set
 from .series import TruncatedSeries, inv_sqrt_one_minus_monomial
 from .system import restricted_path_gf
@@ -318,8 +318,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         # The one --order check; every subcommand takes --order.
-        if args.order < 1:
-            raise ValueError("--order must be positive")
+        check_int("--order", args.order, 1)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

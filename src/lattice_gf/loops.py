@@ -53,13 +53,10 @@ _reciprocals: dict = {}
 
 def check_dim_and_order(dim: int, order: int) -> None:
     """Refuse a dimension or truncation order the loop series cannot take."""
-    # Types first: the loop series are served from a process-wide cache.
-    check_int("dimension", dim)
-    check_int("truncation order", order)
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    if order < 1:
-        raise ValueError("truncation order must be positive")
+    # Every check runs before any cache read: the loop series are served
+    # from a process-wide cache.
+    check_int("dimension", dim, 1)
+    check_int("truncation order", order, 1)
     if dim > MAX_GF_DIM:
         raise ResourceLimitError(f"dimension {dim} exceeds the bound {MAX_GF_DIM}")
 

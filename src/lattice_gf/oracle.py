@@ -59,14 +59,10 @@ class PathCountTable:
 
 
 def _check_budget(dim: int, max_half_len: int, max_cells: int | None) -> None:
-    check_int("dimension", dim)
-    check_int("half-length", max_half_len)
+    check_int("dimension", dim, 1)
+    check_int("half-length", max_half_len, 0)
     if max_cells is not None:
-        check_int("max_cells", max_cells)
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    if max_half_len < 0:
-        raise ValueError("half-length must be nonnegative")
+        check_int("max_cells", max_cells, 1)
     if dim > MAX_ORACLE_DIM:
         raise ResourceLimitError(f"oracle dimension {dim} exceeds the cap {MAX_ORACLE_DIM}")
     budget = DEFAULT_MAX_CELLS if max_cells is None else max_cells

@@ -62,9 +62,7 @@ class PeriodicSet:
 
     def is_admissible_half_time(self, half_time: int) -> bool:
         """Whether the origin may be occupied at time ``2 * half_time``."""
-        check_int("half-time", half_time)
-        if half_time < 0:
-            raise ValueError("half-time must be nonnegative")
+        check_int("half-time", half_time, 0)
         return half_time % self.period in self.residues
 
 

@@ -54,10 +54,8 @@ def product_coeffs(f, g, size: int, shift: int = 0) -> list:
 
 
 def _check_section(q: int, r: int) -> None:
-    check_int("multisection modulus", q)
+    check_int("multisection modulus", q, 1)
     check_int("multisection residue", r)
-    if q < 1:
-        raise ValueError("multisection modulus must be positive")
     if not 0 <= r < q:
         raise ValueError(f"multisection residue {r} outside [0, {q})")
 
@@ -84,12 +82,8 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, coeff: int, exponent: int, order: int) -> "TruncatedSeries":
         """The series ``coeff * t**exponent`` (zero if the exponent is cut off)."""
-        check_int("truncation order", order)
-        if order < 1:
-            raise ValueError("truncation order must be positive")
-        check_int("exponent", exponent)
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
+        check_int("truncation order", order, 1)
+        check_int("exponent", exponent, 0)
         row = [0] * order
         coeff = index(coeff)
         if exponent < order:
@@ -219,10 +213,9 @@ def inv_sqrt_one_minus_monomial(coeff: int, exponent: int, order: int) -> Trunca
     divides ``coeff``, as in the Hajnal-Nagy case ``4**(2k)``; any other
     ``coeff`` is refused.
     """
-    if order < 1:
-        raise ValueError("truncation order must be positive")
-    if exponent < 1:
-        raise ValueError("exponent must be positive")
+    check_int("truncation order", order, 1)
+    check_int("exponent", exponent, 1)
+    check_int("coefficient", coeff)
     if coeff % 4:
         raise ValueError(
             f"coefficient {coeff} is not a multiple of 4: the expansion leaves Z[[t]]"

@@ -81,9 +81,12 @@ class SeriesMatrix:
         if any(len(row) != size for row in grid):
             raise ValueError("matrix must be square")
         period, labels = (1, (0,) * size) if grading is None else grading
+        check_int("grading period", period, 1)
         labels = tuple(labels)
-        if period < 1 or len(labels) != size:
-            raise ValueError("grading needs a positive period and one label per row")
+        for label in labels:
+            check_int("grading label", label)
+        if len(labels) != size:
+            raise ValueError("grading needs one label per row")
         # Builders reuse one series object across many entries, so each
         # distinct (series, class) pair is checked once.
         order = grid[0][0].order
@@ -193,8 +196,7 @@ def _circulant_block(series: TruncatedSeries, period: int, labels) -> SeriesMatr
     """Rows and columns ``labels`` of the period circulant of ``series``:
     entry ``(a, b)`` is the ``shift(a, b)`` multisection, graded
     ``(period, labels)``, and each distinct class is built once."""
-    if period < 1:
-        raise ValueError("circulant size must be positive")
+    check_int("circulant size", period, 1)
     shifts = [[(b - a) % period for b in labels] for a in labels]
     pieces = {c: series.multisection(period, c) for c in set().union(*shifts)}
     rows = [[pieces[c] for c in row] for row in shifts]

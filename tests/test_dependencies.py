@@ -127,3 +127,20 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(io.StringIO()) as out:
         exec(compile(block, "README.md", "exec"), namespace)
     assert out.getvalue() == f"{namespace['gf'].coeffs[3]}\n" == "24\n"
+
+
+RANGE_MESSAGE_TAILS = ("must be positive", "must be nonnegative")
+
+
+def test_range_rule_spelled_only_in_check_int():
+    # errors.check_int words every "<name> must be positive|nonnegative"
+    # refusal; a second spelling of the rule drifts from the first.
+    spelled = []
+    for path in SOURCES:
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.endswith(RANGE_MESSAGE_TAILS)):
+                spelled.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert spelled == []

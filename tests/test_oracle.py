@@ -136,6 +136,16 @@ class TestResourceBudget:
         with pytest.raises(ValueError):
             count_loops(1, max_half_len=-1)
 
+    @pytest.mark.parametrize("max_cells", [0, -3])
+    def test_budget_below_one_is_invalid_input(self, max_cells):
+        # A budget below one cell is a bad argument, not an exceeded budget.
+        for count in (count_loops, count_simple_loops, count_escaping):
+            with pytest.raises(ValueError, match="^max_cells must be positive$"):
+                count(1, 3, max_cells=max_cells)
+        for count in (count_restricted, count_odd_length):
+            with pytest.raises(ValueError, match="^max_cells must be positive$"):
+                count(1, PeriodicSet((0,), 2), 3, max_cells=max_cells)
+
     @pytest.mark.parametrize("args, name, kind", [
         ((True, 3), "dimension", "bool"),
         ((2.0, 3), "dimension", "float"),

@@ -331,6 +331,20 @@ class TestInverseSquareRoot:
         base = TruncatedSeries.one(order) - TruncatedSeries.monomial(4 * c, m, order)
         assert inv * inv * base == TruncatedSeries.one(order)
 
+    @pytest.mark.parametrize("args, name, kind", [
+        # True would be answered as exponent 1 or order 1, and a float would
+        # reach list repetition.
+        ((16, True, 4), "exponent", "bool"),
+        ((16, 2, True), "truncation order", "bool"),
+        ((16, 2.0, 10), "exponent", "float"),
+        ((16, 2, 2.0), "truncation order", "float"),
+        ((True, 2, 4), "coefficient", "bool"),
+        ((16.0, 2, 4), "coefficient", "float"),
+    ])
+    def test_non_int_arguments_refused(self, args, name, kind):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, not {kind}$"):
+            inv_sqrt_one_minus_monomial(*args)
+
 
 class TestHalfPowerCoeffs:
     """The one expansion of ``(1 - 4 base x) ** (sign / 2)`` behind ``L``,

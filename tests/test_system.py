@@ -143,6 +143,16 @@ class TestSystemAssembly:
         with pytest.raises(ValueError):
             SeriesMatrix([[one, odd], [odd, one]], (2, (0,)))
 
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_non_int_grading_refused_by_name(self, bad):
+        one, name = TruncatedSeries.one(4), type(bad).__name__
+        with pytest.raises(TypeError, match=f"^grading period must be an int, not {name}$"):
+            SeriesMatrix([[one, one], [one, one]], (bad, (0, 0)))
+        with pytest.raises(TypeError, match=f"^grading label must be an int, not {name}$"):
+            SeriesMatrix([[one, one], [one, one]], (2, (0, bad)))
+        with pytest.raises(TypeError, match="^grading label must be an int, not float$"):
+            SeriesMatrix([[one]], (1, (0.5,)))
+
     def test_shared_series_checked_per_class(self):
         # One series object sits at entry (0, 1), class 1 mod 3, where it
         # belongs, and at entry (1, 0), class 2 mod 3, where it does not.
