@@ -34,7 +34,8 @@ records sit in a ``functools.lru_cache`` bounded by
 typed, because ``2.0 == 2`` and ``True == 1`` hash alike: an untyped key
 would answer a float or boolean argument from the entry of an ``int`` one,
 where a cold call raises ``TypeError``.  A call that raises caches nothing,
-and a non-``int`` staircase size is refused before any record is read.
+and a staircase size that is not a positive ``int`` is refused before any
+record is read or any system solved.
 """
 
 import functools
@@ -126,7 +127,7 @@ def column_substitution_check(dim: int, k: int, order: int) -> bool:
     Column operations using the entry-wise row relation turn the substituted
     matrix into the escaping quarter without changing the determinant.
     """
-    check_int("k", k)
+    check_int("k", k, 1)
     record = _staircase(dim, k, order)
     return record["substituted"] == record["escaping"]
 
@@ -134,6 +135,7 @@ def column_substitution_check(dim: int, k: int, order: int) -> bool:
 def cramer_ratio_check(dim: int, k: int, order: int) -> bool:
     """The even multisection of the solved walk series times the restriction
     quarter determinant equals the escaping quarter determinant."""
+    check_int("k", k, 1)
     target = restricted_path_gf(dim, hajnal_nagy_set(k), 0, order).multisection(
         2 * k, 0
     )
@@ -188,7 +190,7 @@ def hn_determinant_check(k: int, order: int) -> bool:
     full circulant is built or eliminated; the quarters come from the
     staircase record.
     """
-    check_int("k", k)
+    check_int("k", k, 1)
     det_full = _circulant_norm(LoopModel(1, order).reciprocal_loop_gf(), 2 * k)
     record = _staircase(1, k, order)
     block_identity = record["escaping"] * det_full == record["restriction"]

@@ -72,6 +72,14 @@ def geometric_sum(coeffs, weight: int) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
+def has_reciprocal(dim: int, order: int) -> bool:
+    """Whether ``reciprocal_loop_gf`` serves ``(dim, order)`` without
+    inverting a series: always in dimension 1, and otherwise when
+    ``_reciprocals`` holds ``1/L`` at this order or higher."""
+    cached = _reciprocals.get(dim)
+    return dim == 1 or cached is not None and cached.order >= order
+
+
 class LoopModel:
     """Dimension and truncation order for the loop generating functions."""
 

@@ -73,7 +73,5 @@ def hajnal_nagy_set(k: int) -> PeriodicSet:
     restricted-walk generating function has the closed form
     ``(1 - (4t)**(2k)) ** (-1/2)`` in one dimension.
     """
-    check_int("k", k)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    check_int("k", k, 1)
     return PeriodicSet(tuple(range(k)), 2 * k)

@@ -44,22 +44,42 @@ Block ``(R, S)`` of ``A B = I`` is ``A_RR B_RS + A_RS B_SS = 0``, hence
     P_R = (1_R - B_RS B_SS^-1 1_S) / (1 - 4**d t).
 
 ``B_SS`` is the identity at ``t = 0`` and is graded by ``(period, S)`` like
-the matrix above, so the same kernel solves ``B_SS z = 1_S``, and no series
-but its pivots is inverted.  ``solve_complement`` takes this route and
-``_solution_tuple`` uses it whenever ``|S| < |R|``; a full set, ``S``
-empty, needs no solve at all and gives ``4**(d j)``.
+the matrix above, and so is its inverse.  So entry ``s`` of
+``z = B_SS^-1 1_S`` lives on the classes ``q - s``, ``q`` in ``S``, and its
+class parts are row ``s`` of ``B_SS^-1``.  ``solve_complement`` keeps ``z``
+by class: the one kernel eliminates ``[B_SS | I]``, back substitution in
+``u`` gives ``B_SS^-1``, and ``B_RS z`` is formed class by class.  No series
+but the pivots is inverted, and no product runs over all ``order``
+coefficients.  A full set, ``S`` empty, needs no solve at all and gives
+``4**(d j)``.
+
+``_solution_tuple`` takes whichever route ``_route_costs`` rates cheaper.
+That is a closed-form count, in ``dim``, ``|R|``, ``|S|``, the period and
+the order, of the coefficient products, product calls and slice passes of
+each route.  It includes the inversion of the loop series that the
+reciprocal route pays in dimensions 2 to 4 unless ``loops`` already holds
+``1/L`` at that order, so the route may depend on that cache; the
+coefficients do not.
 """
 
 from collections import OrderedDict
 from collections.abc import Sequence
 
 from .errors import check_int
-from .loops import LoopModel, check_dim_and_order, geometric_sum
+from .loops import LoopModel, check_dim_and_order, geometric_sum, has_reciprocal
 from .periodic import PeriodicSet
 from .series import TruncatedSeries, product_coeffs
 
 # Solved systems kept by _solution_tuple, least recently used dropped first.
 SOLUTION_CACHE_SIZE = 32
+
+# Weights of _route_costs, in the interpreter cost of one coefficient
+# product: a product call or slice pass, an element of a dense slice pass,
+# and the coefficient length ``dim * order`` at which big-integer arithmetic
+# doubles the cost of a product.  Fitted on timed solves of both routes.
+CALL_COST = 10
+ELEMENT_COST = 0.2
+BIG_LENGTH = 200
 
 
 class SeriesMatrix:
@@ -128,26 +148,37 @@ def _dense_product(shift: int, f, dense: list, period: int) -> list:
     return out
 
 
-def _eliminate(matrix: SeriesMatrix, rhs: Sequence[TruncatedSeries] = ()):
+def _eliminate(
+    matrix: SeriesMatrix, rhs: Sequence[TruncatedSeries] = (), augment: bool = False
+):
     """Forward elimination over the series ring, no pivot search.
 
     Entry ``(a, b)`` is kept as its ``u``-coefficients, ``coeffs[c::period]``
     with ``c = (labels[b] - labels[a]) % period``; every update stays inside
     its class.  ``rhs`` is reduced alongside as dense coefficient lists.
+    With ``augment`` the identity follows the matrix as ``n`` trailing
+    columns labelled like its rows, ``[A | I]``, kept and reduced the same
+    way.
 
     Returns ``(rows, inverses, vec)``: the upper triangle of the reduced
-    matrix (entries below the diagonal are left stale) and the inverse of
-    each pivot, as coefficient lists in ``u``, and the reduced right-hand
-    side.  The pivots, and so the determinant, lie in class 0.  Every pivot
-    must be a unit of ``Z[[u]]``, constant term +-1.
+    matrix (entries below the diagonal are left stale), trailing columns
+    included, and the inverse of each pivot, as coefficient lists in ``u``,
+    and the reduced right-hand side.  The pivots, and so the determinant,
+    lie in class 0.  Every pivot must be a unit of ``Z[[u]]``, constant term
+    +-1.
     """
     period, labels = matrix.grading
-    n = matrix.n
-    classes = [[(lb - la) % period for lb in labels] for la in labels]
+    n, order = matrix.n, matrix.order
+    columns = labels * 2 if augment else labels
+    classes = [[(lb - la) % period for lb in columns] for la in labels]
     rows = [
         [entry.coeffs[c::period] for entry, c in zip(row, row_classes)]
         for row, row_classes in zip(matrix.rows, classes)
     ]
+    if augment:
+        one, zero = [1] + [0] * (order - 1), [0] * order
+        for a, row in enumerate(rows):
+            row += [(one if a == b else zero)[c::period] for b, c in enumerate(classes[a][n:])]
     vec = [list(series.coeffs) for series in rhs]
     inverses = []
     for i in range(n):
@@ -160,11 +191,13 @@ def _eliminate(matrix: SeriesMatrix, rhs: Sequence[TruncatedSeries] = ()):
         inv = TruncatedSeries(pivot).inverse().coeffs
         inverses.append(inv)
         row_i = rows[i]
+        # Trailing column n + b of row i is still zero for b > i.
+        width = n + i + 1 if augment else n
         for j in range(i + 1, n):
             c = classes[j][i]
             row_j = rows[j]
             factor = product_coeffs(row_j[i], inv, len(row_j[i]))
-            for m in range(i + 1, n):
+            for m in range(i + 1, width):
                 # t**c f times t**b g is t**((c + b) % period) times
                 # u**carry f g, where the carry is 1 when c + b >= period.
                 carry = c + classes[i][m] >= period
@@ -245,16 +278,42 @@ def solve_linear_system(
     return [TruncatedSeries(coeffs) for coeffs in out]
 
 
+def _graded_inverse(matrix: SeriesMatrix) -> list:
+    """The inverse of ``matrix`` by elimination of ``[matrix | I]`` and back
+    substitution in ``u``: entry ``(a, b)`` as the ``u``-coefficients of its
+    class ``labels[b] - labels[a]``, the grading of ``matrix`` itself."""
+    rows, inverses, _ = _eliminate(matrix, augment=True)
+    period, labels = matrix.grading
+    n = matrix.n
+    out: list[list | None] = [None] * n
+    for i in reversed(range(n)):
+        row_i = rows[i]
+        solved = []
+        for b in range(n):
+            acc = row_i[n + b]
+            for m in range(i + 1, n):
+                c = (labels[m] - labels[i]) % period
+                carry = c + (labels[b] - labels[m]) % period >= period
+                product = product_coeffs(row_i[m], out[m][b], len(acc), carry)
+                acc = [x - y for x, y in zip(acc, product)]
+            solved.append(product_coeffs(inverses[i], acc, len(acc)))
+        out[i] = solved
+    return out
+
+
 def solve_complement(
     dim: int, restriction: PeriodicSet, order: int
 ) -> list[TruncatedSeries]:
     """Walk series per admissible residue, solved over the forbidden ones.
 
     Entry ``(s, q)`` of ``B_SS`` is the ``shift(s, q)`` multisection of the
-    loop series; ``z = B_SS^-1 1_S`` is subtracted from ``1`` through the
-    ``shift(r, s)`` multisections and the result divided by
-    ``1 - 4**d t``.  The forbidden residues are enumerated, so the cost
-    grows with the period.
+    loop series.  Entry ``s`` of ``z = B_SS^-1 1_S`` has its class
+    ``q - s`` part in entry ``(s, q)`` of ``B_SS^-1``, which is graded like
+    ``B_SS``, so ``z`` is kept by class: the class ``q - r`` part of
+    ``(B_RS z)_r`` is the sum over ``s`` of the class ``s - r`` part of the
+    loop series times entry ``(s, q)``, each a product in ``u``.  The result
+    is subtracted from ``1`` and divided by ``1 - 4**d t``.  The forbidden
+    residues are enumerated, so the cost grows with the period.
     """
     check_dim_and_order(dim, order)
     period, residues, weight = restriction.period, restriction.residues, 4**dim
@@ -264,17 +323,18 @@ def solve_complement(
     if not forbidden:
         return [geometric_sum(one, weight)] * len(residues)
     loop = LoopModel(dim, order).loop_gf()
-    z = solve_linear_system(
-        _circulant_block(loop, period, forbidden),
-        [TruncatedSeries(one)] * len(forbidden),
-    )
+    inverse = _graded_inverse(_circulant_block(loop, period, forbidden))
     out = []
     for r in residues:
-        acc = one
-        for s, zs in zip(forbidden, z):
-            c = (s - r) % period
-            product = _dense_product(c, loop.coeffs[c::period], zs.coeffs, period)
-            acc = [x - y for x, y in zip(acc, product)]
+        acc = list(one)
+        for b, q in enumerate(forbidden):
+            part = [0] * len(range((q - r) % period, order, period))
+            for s, row in zip(forbidden, inverse):
+                c = (s - r) % period
+                carry = c + (q - s) % period >= period
+                product = product_coeffs(loop.coeffs[c::period], row[b], len(part), carry)
+                part = [x - y for x, y in zip(part, product)]
+            acc[(q - r) % period :: period] = part
         out.append(geometric_sum(acc, weight))
     return out
 
@@ -300,6 +360,53 @@ def check_walk_series(residue: int, series: TruncatedSeries) -> None:
             )
 
 
+def _route_costs(dim: int, restriction: PeriodicSet, order: int) -> tuple:
+    """Counted cost ``(reciprocal, complement)`` of the two routes of
+    ``_solution_tuple``; it reads no clock.
+
+    With ``n`` admissible and ``k`` forbidden residues an entry has about
+    ``m = order / period`` coefficients in ``u``, and a product of two
+    entries takes ``m**2 / 2`` coefficient products.
+
+    - The reciprocal route eliminates ``n`` rows, ``(n**3 + 2 n) / 3`` entry
+      products each followed by a pass of ``m`` elements, and takes
+      ``n**2`` products with a dense right-hand side: ``m`` slice passes of
+      up to ``order`` elements each, and a subtraction.  In dimensions 2 to
+      4 it first inverts the loop series, ``order**2 / 2`` products in
+      ``order`` passes, unless ``loops`` already holds ``1/L`` at this
+      order.
+    - The complement route eliminates ``[B_SS | I]``, back-substitutes and
+      forms ``B_RS z`` class by class: ``k**3 + n k**2 + k - 1`` entry
+      products, each followed by a pass of ``m`` elements.  A full set,
+      ``k = 0``, costs nothing, and a count past the float range is
+      infinite.
+
+    Big-integer arithmetic adds ``(dim * order / BIG_LENGTH)**2`` to the
+    cost of each product and each element.
+    """
+    n, period = restriction.size, restriction.period
+    k, m = period - n, order / period
+    big = (dim * order / BIG_LENGTH) ** 2
+
+    def cost(products, calls, elements):
+        return products * (1 + big) + CALL_COST * calls + elements * (ELEMENT_COST + big)
+
+    entries = (n**3 + 2 * n) / 3
+    products, calls = entries * m * m / 2, entries + n * n * m
+    if not has_reciprocal(dim, order):
+        products, calls = products + order * order / 2, calls + order
+    reciprocal = cost(products, calls, m * entries + n * n * order * (m / 2 + 1))
+    if not k:
+        return reciprocal, 0
+    try:
+        entries = k**3 + n * k * k + k - 1
+        return reciprocal, cost(entries * m * m / 2, entries, entries * m)
+    except OverflowError:
+        # Past the float range: the route would enumerate every forbidden
+        # residue of a period beyond any order.
+        return reciprocal, float("inf")
+
+
 _solutions: OrderedDict = OrderedDict()
 
 
@@ -308,9 +415,11 @@ def _solution_tuple(dim: int, restriction: PeriodicSet, order: int):
 
     The cache keeps the highest order solved per ``(dim, restriction)`` and
     answers a lower order by truncation, which is exact because every series
-    operation is causal.  A cold solve takes the smaller side: the forbidden
-    residues when there are fewer of them than admissible ones, counted
-    without enumerating them, and the admissible residues otherwise.
+    operation is causal.  A cold solve takes the route that
+    ``_route_costs`` rates cheaper, the complement route over the forbidden
+    residues or the reciprocal route over the admissible ones; the estimate
+    counts both sides without enumerating them, and a tie goes to the
+    reciprocal route.
     """
     # Checked before the lookup: a cached prefix would accept a negative or
     # boolean order, and 2.0 or True would find the entry of 2 or 1.
@@ -322,7 +431,8 @@ def _solution_tuple(dim: int, restriction: PeriodicSet, order: int):
         if cached[0].order == order:
             return cached
         return tuple(TruncatedSeries(s.coeffs[:order]) for s in cached)
-    if restriction.period - restriction.size < restriction.size:
+    reciprocal, complement = _route_costs(dim, restriction, order)
+    if complement < reciprocal:
         solution = solve_complement(dim, restriction, order)
     else:
         solution = solve_linear_system(*build_system(dim, restriction, order))

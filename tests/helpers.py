@@ -12,8 +12,9 @@ entry, ``odd_length_count`` reads one value off an oracle table, and
 program over every site of the unfolded grid.  ``reduction_check`` and
 ``period_two_closed_form`` test the solved series against the system they
 solve, by multisection, and ``one_forbidden_closed_form`` solves a set with
-one forbidden residue by hand.  ``load_benchmark_module`` imports a file of
-``perfbench/`` for the tests that pin what the benchmark reaches.
+one forbidden residue by hand.  ``sets_up_to_rotation`` lists the periodic
+sets of small periods for grid tests.  ``load_benchmark_module`` imports a
+file of ``perfbench/`` for the tests that pin what the benchmark reaches.
 """
 
 import importlib.util
@@ -232,6 +233,21 @@ def unfolded_counts(
     if kind == "simple-loops":
         return [0] + origins[1:]
     return origins if kind == "loops" else totals
+
+
+def sets_up_to_rotation(max_period: int) -> list[PeriodicSet]:
+    """Every nonempty set of each period up to ``max_period``, one per class
+    of rotations: the least of its rotations that contain 0."""
+    out = []
+    for period in range(1, max_period + 1):
+        seen = set()
+        for mask in range(1, 2**period):
+            residues = [r for r in range(period) if mask >> r & 1]
+            least = min(tuple(sorted((r - s) % period for r in residues)) for s in residues)
+            if least not in seen:
+                seen.add(least)
+                out.append(PeriodicSet(least, period))
+    return out
 
 
 def load_benchmark_module(name: str):

@@ -299,12 +299,11 @@ class TestDeterminantChain:
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_staircase_checks_refuse_empty_size(self, k):
-        # cramer_ratio_check solves the staircase set first, which refuses k.
-        with pytest.raises(ValueError, match="^circulant size must be positive$"):
+        with pytest.raises(ValueError, match="^k must be positive$"):
             column_substitution_check(1, k, 5)
-        with pytest.raises(ValueError, match="^k must be a positive integer$"):
+        with pytest.raises(ValueError, match="^k must be positive$"):
             cramer_ratio_check(1, k, 5)
-        with pytest.raises(ValueError, match="^circulant size must be positive$"):
+        with pytest.raises(ValueError, match="^k must be positive$"):
             hn_determinant_check(k, 5)
 
     def test_hn_check_builds_each_quarter_once(self, monkeypatch):

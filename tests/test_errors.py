@@ -54,7 +54,7 @@ def _rows():
         yield f"{f.__name__}.half", lambda v, f=f: f(1, SET, v), "half-length", 0
         yield f"{f.__name__}.cells", lambda v, f=f: f(1, SET, 3, v), "max_cells", 1
     yield "is_admissible_half_time", SET.is_admissible_half_time, "half-time", 0
-    yield "hajnal_nagy_set", hajnal_nagy_set, "k", None
+    yield "hajnal_nagy_set", hajnal_nagy_set, "k", 1
     yield "monomial.exponent", lambda v: TruncatedSeries.monomial(1, v, 4), "exponent", 0
     yield "monomial.order", lambda v: TruncatedSeries.monomial(1, 0, v), "truncation order", 1
     yield "one", TruncatedSeries.one, "truncation order", 1
@@ -72,9 +72,9 @@ def _rows():
         yield f"{f.__name__}.order", lambda v, f=f: f(1, 2, v), "truncation order", 1
     for f in (column_substitution_check, cramer_ratio_check):
         yield f"{f.__name__}.dim", lambda v, f=f: f(v, 1, 4), "dimension", 1
-        yield f"{f.__name__}.k", lambda v, f=f: f(1, v, 4), "k", None
+        yield f"{f.__name__}.k", lambda v, f=f: f(1, v, 4), "k", 1
         yield f"{f.__name__}.order", lambda v, f=f: f(1, 1, v), "truncation order", 1
-    yield "hn_determinant_check.k", lambda v: hn_determinant_check(v, 4), "k", None
+    yield "hn_determinant_check.k", lambda v: hn_determinant_check(v, 4), "k", 1
     yield "hn_determinant_check.order", lambda v: hn_determinant_check(1, v), "truncation order", 1
 
 

@@ -28,6 +28,7 @@ from helpers import (
     one_forbidden_closed_form,
     period_two_closed_form,
     reduction_check,
+    sets_up_to_rotation,
     shift_distance,
 )
 
@@ -415,17 +416,82 @@ class TestRouteCounts:
             # The one pivot, a series in t**period.
             assert inverted == [len(range(0, order, period))]
 
+    def test_deep_series_dim2_tie_inverts_no_loop_series(self, monkeypatch):
+        # {0} mod 2 forbids as many residues as it admits; with 1/L not yet
+        # cached the complement route is the cheaper one.
+        workloads = load_benchmark_module("workloads")
+        order = workloads.SCALES["full"]["deep_orders"][1]
+        builds, inverted = count_route(monkeypatch)
+        solve_restricted(2, PeriodicSet((0,), 2), order)
+        assert builds == []
+        assert loops._reciprocals == {}
+        assert inverted == [order // 2] == [200]
+
     def test_wide_and_staircase_sets_take_the_reciprocal_route(self, monkeypatch):
         workloads = load_benchmark_module("workloads")
-        dim = workloads.SCALES["full"]["wide_drawn"][0]
-        stair_k = workloads.SCALES["full"]["wide_stair"][0]
-        cases = [(dim, PeriodicSet(*pair)) for pair in workloads.wide_pool("full")]
-        cases += [(1, PeriodicSet(*workloads.staircase(stair_k)))]
-        cases += [(d, hajnal_nagy_set(k)) for d in (1, 2) for k in range(1, 7)]
-        for dim, restriction in cases:
+        scale = workloads.SCALES["full"]
+        dim, order = scale["wide_drawn"]
+        stair_k, stair_order = scale["wide_stair"]
+        cases = [(dim, PeriodicSet(*pair), order) for pair in workloads.wide_pool("full")]
+        cases += [(1, PeriodicSet(*workloads.staircase(stair_k)), stair_order)]
+        assert len(cases) == 9
+        for dim, restriction, order in cases:
             builds, _ = count_route(monkeypatch)
-            solve_restricted(dim, restriction, 6)
-            assert builds == [(dim, restriction, 6)], restriction
+            solve_restricted(dim, restriction, order)
+            assert builds == [(dim, restriction, order)], restriction
+
+    def test_identity_chain_staircases_take_the_estimated_route(self, monkeypatch):
+        # (dim, k): the route with loops._reciprocals cold, and holding 1/L
+        # at the order of the workload.
+        expected = {
+            (1, 1): ("complement", "complement"),
+            **{(1, k): ("reciprocal", "reciprocal") for k in range(2, 7)},
+            (2, 1): ("complement", "complement"),
+            (2, 2): ("complement", "reciprocal"),
+            (2, 3): ("complement", "reciprocal"),
+        }
+        workloads = load_benchmark_module("workloads")
+        seen = {}
+        for dim, ks, order in workloads.SCALES["full"]["chain"]:
+            for k in ks:
+                routes = []
+                for warm in (False, True):
+                    builds, _ = count_route(monkeypatch)
+                    if warm:
+                        LoopModel(dim, order).reciprocal_loop_gf()
+                    solve_restricted(dim, hajnal_nagy_set(k), order)
+                    routes.append("reciprocal" if builds else "complement")
+                seen[dim, k] = tuple(routes)
+        assert seen == expected
+
+
+class TestRouteChoice:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_routes_agree_cold_and_warm(self, dim, monkeypatch):
+        # The route may depend on whether loops._reciprocals holds 1/L; the
+        # coefficients must not.
+        routes = set()
+        for restriction in sets_up_to_rotation(6):
+            period = restriction.period
+            orders = {1, 2, period, period + 1, 12 if dim == 4 else 25}
+            for order in sorted(orders):
+                monkeypatch.setattr(loops, "_reciprocals", {})
+                monkeypatch.setattr(system, "_solutions", OrderedDict())
+                chosen = [system._solution_tuple(dim, restriction, order)]
+                cold = system._route_costs(dim, restriction, order)
+                reciprocal = solve_linear_system(*build_system(dim, restriction, order))
+                warm = system._route_costs(dim, restriction, order)
+                system._solutions.clear()
+                chosen.append(system._solution_tuple(dim, restriction, order))
+                routes.add((cold[1] < cold[0], warm[1] < warm[0]))
+                want = [s.coeffs for s in reciprocal]
+                assert [s.coeffs for s in solve_complement(dim, restriction, order)] == want
+                for solved in chosen:
+                    assert [s.coeffs for s in solved] == want, (restriction, order)
+        # Both routes are taken, and above dimension 1 the cache alone
+        # switches some sets from the complement to the reciprocal route.
+        assert {cold_complement for cold_complement, _ in routes} == {False, True}
+        assert ((True, False) in routes) == (dim > 1)
 
 
 class TestRestrictedGf:
@@ -469,6 +535,16 @@ class TestRestrictedGf:
         assert gf == restricted_path_gf(1, PeriodicSet((0,), 5), 0, 5)
         assert gf.coeffs == tuple(count_restricted(1, huge, 4).counts)
         assert gf.coeffs == (1, 2, 6, 20, 70)
+
+    def test_period_past_the_float_range(self):
+        # The route estimate counts the forbidden residues without
+        # enumerating them; with 10**400 of them the count leaves the float
+        # range and the reciprocal route is taken.
+        restriction = PeriodicSet((0, 1), 10**400)
+        reciprocal, complement = system._route_costs(2, restriction, 6)
+        assert complement == float("inf") > reciprocal
+        assert restricted_path_gf(2, restriction, 1, 6) == restricted_path_gf(
+            2, PeriodicSet((0, 1), 7), 1, 6)
 
     def test_inadmissible_start_rejected(self):
         with pytest.raises(ValueError):
