@@ -46,6 +46,13 @@ from .series import TruncatedSeries, half_power_coeffs
 # from stalling a run.
 MAX_GF_DIM = 4
 
+# The largest truncation order of a loop series.  The cheapest solve that
+# builds one, dim 1 and {0} mod 2, is one division of N/2 terms, which
+# system._route_costs counts as (N/2)**2 / 2 * (1 + (N/200)**2) coefficient
+# products: 1e5 at N = 400, about 4 ms on a 2-vCPU host, and 3e10 at this
+# bound, about 20 minutes there.
+MAX_ORDER = 10_000
+
 # The reciprocal loop series per dimension, at the highest order computed so
 # far; the dimension check in LoopModel bounds it to MAX_GF_DIM entries.
 _reciprocals: dict = {}
@@ -59,6 +66,8 @@ def check_dim_and_order(dim: int, order: int) -> None:
     check_int("truncation order", order, 1)
     if dim > MAX_GF_DIM:
         raise ResourceLimitError(f"dimension {dim} exceeds the bound {MAX_GF_DIM}")
+    if order > MAX_ORDER:
+        raise ResourceLimitError(f"truncation order {order} exceeds the bound {MAX_ORDER}")
 
 
 def geometric_sum(coeffs, weight: int) -> TruncatedSeries:

@@ -6,8 +6,9 @@ up to ``t**N``.  Every series of this package counts walks or is built from
 such counts, so the integers are the one coefficient ring.  Other integer
 types, such as ``bool``, are converted with ``operator.index``; a rational,
 floating-point or decimal coefficient is refused with ``TypeError``.  The
-ring stays closed: only series with constant term +-1 are inverted, and the
-square-root expansion needs a base divisible by 4.
+ring stays closed: ``quotient_coeffs`` divides only by series with constant
+term +-1, the inverse is the quotient of 1, and the square-root expansion
+needs a base divisible by 4.
 
 The binomial family ``(1 - 4 b x) ** (+-1/2)`` is expanded in one place,
 ``half_power_coeffs``.  ``loops`` raises the coefficients of
@@ -27,6 +28,7 @@ path length ``2j``.
 """
 
 from collections.abc import Iterable
+from itertools import chain, repeat
 from operator import add, index, neg, sub
 
 from .errors import check_int
@@ -50,6 +52,28 @@ def product_coeffs(f, g, size: int, shift: int = 0) -> list:
             if j >= limit:
                 break
             out[i + j] += fi * gj
+    return out
+
+
+def quotient_coeffs(f, g, size: int, shift: int = 0) -> list:
+    """Coefficients of ``x**shift * f(x) / g(x)`` below ``x**size``, for
+    ``g`` with constant term +-1, in one pass of
+
+        q_j = g_0 (f_{j-shift} - sum_{i>=1} g_i q_{j-i}).
+
+    ``g_0`` is its own inverse, so every ``q_j`` is an integer; the caller
+    checks it.  A quotient costs what an inverse does, half of an inverse
+    followed by a product.  The loop walks only the nonzero terms of ``g``.
+    """
+    g0 = g[0]
+    support = [(i, gi) for i, gi in enumerate(g[1 : size - shift], 1) if gi]
+    out = [0] * size
+    for j, acc in zip(range(shift, size), chain(f, repeat(0))):
+        for i, gi in support:
+            if i > j - shift:
+                break
+            acc -= gi * out[j - i]
+        out[j] = acc if g0 == 1 else -acc
     return out
 
 
@@ -131,7 +155,7 @@ class TruncatedSeries:
         """Multiplicative inverse in the truncated ring.
 
         The series must be a unit of ``Z[[t]]``: its constant term is +-1,
-        which is its own inverse.
+        which is its own inverse.  The inverse is the quotient of 1.
         """
         a = self.coeffs
         a0 = a[0]
@@ -141,16 +165,7 @@ class TruncatedSeries:
             raise ArithmeticError(
                 f"constant term {a0} is not +-1: the inverse leaves Z[[t]]"
             )
-        support = [(i, a[i]) for i in range(1, self.order) if a[i]]
-        out = [a0]
-        for j in range(1, self.order):
-            acc = 0
-            for i, ai in support:
-                if i > j:
-                    break
-                acc += ai * out[j - i]
-            out.append(-a0 * acc)
-        return TruncatedSeries(out)
+        return TruncatedSeries(quotient_coeffs((1,), a, self.order))
 
     # -- multisection -------------------------------------------------------
 

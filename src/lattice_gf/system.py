@@ -22,8 +22,11 @@ mod the period, so it is ``t**c`` times a series in ``u = t**period``.  A
 ``SeriesMatrix`` records such a grading as ``(period, labels)``: entry
 ``(i, j)`` lives on exponents congruent to ``labels[j] - labels[i]``.
 Elimination keeps the grading, so the one kernel ``_eliminate``, shared by
-``solve_linear_system`` and ``series_determinant``, stores each entry as its
-``u``-coefficients only, about ``order / period`` of them.  A matrix
+``solve_linear_system``, ``series_determinant`` and ``solve_complement``,
+stores each entry as its ``u``-coefficients only, about ``order / period``
+of them.  Pivots are never inverted: each elimination factor and each step
+of back substitution is an exact quotient by a pivot,
+``series.quotient_coeffs``, which costs what an inverse would.  A matrix
 without structure has the trivial grading ``(1, (0, ..., 0))``, under which
 the same kernel is plain dense elimination.
 
@@ -43,15 +46,16 @@ Block ``(R, S)`` of ``A B = I`` is ``A_RR B_RS + A_RS B_SS = 0``, hence
 
     P_R = (1_R - B_RS B_SS^-1 1_S) / (1 - 4**d t).
 
-``B_SS`` is the identity at ``t = 0`` and is graded by ``(period, S)`` like
-the matrix above, and so is its inverse.  So entry ``s`` of
-``z = B_SS^-1 1_S`` lives on the classes ``q - s``, ``q`` in ``S``, and its
-class parts are row ``s`` of ``B_SS^-1``.  ``solve_complement`` keeps ``z``
-by class: the one kernel eliminates ``[B_SS | I]``, back substitution in
-``u`` gives ``B_SS^-1``, and ``B_RS z`` is formed class by class.  No series
-but the pivots is inverted, and no product runs over all ``order``
-coefficients.  A full set, ``S`` empty, needs no solve at all and gives
-``4**(d j)``.
+``solve_complement`` takes the transposed solve ``W = B_SS^-T B_RS^T``,
+so that entry ``r`` of ``B_RS B_SS^-1 1_S`` is the sum over ``s`` of
+``W_sr``.  ``W_sr`` lives on the single class ``s - r``, so the parts
+interleave in ``P_r`` without any addition.  ``[B_SS^T | B_RS^T]`` is rows
+``-S`` and columns ``-S``, then ``-R``, of the period circulant of ``L``:
+``_circulant_block`` builds it, the one kernel reduces it with trailing
+columns, and back substitution in ``u`` divides by the pivots.  No series
+is inverted, no product runs over all ``order`` coefficients, and with one
+forbidden residue each walk series is a single division.  A full set,
+``S`` empty, needs no solve at all and gives ``4**(d j)``.
 
 ``_solution_tuple`` takes whichever route ``_route_costs`` rates cheaper.
 That is a closed-form count, in ``dim``, ``|R|``, ``|S|``, the period and
@@ -65,10 +69,10 @@ coefficients do not.
 from collections import OrderedDict
 from collections.abc import Sequence
 
-from .errors import check_int
-from .loops import LoopModel, check_dim_and_order, geometric_sum, has_reciprocal
+from .errors import ResourceLimitError, check_int
+from .loops import MAX_ORDER, LoopModel, check_dim_and_order, geometric_sum, has_reciprocal
 from .periodic import PeriodicSet
-from .series import TruncatedSeries, product_coeffs
+from .series import TruncatedSeries, product_coeffs, quotient_coeffs
 
 # Solved systems kept by _solution_tuple, least recently used dropped first.
 SOLUTION_CACHE_SIZE = 32
@@ -83,12 +87,15 @@ BIG_LENGTH = 200
 
 
 class SeriesMatrix:
-    """A square matrix of TruncatedSeries entries sharing one order.
+    """A matrix of TruncatedSeries entries sharing one order: ``n`` rows, a
+    square part of ``n`` columns, and any trailing columns, which
+    elimination reduces with the square part as in ``[A | B]``.
 
-    ``grading = (period, labels)`` declares that entry ``(i, j)`` is supported
-    on exponents congruent to ``labels[j] - labels[i]`` mod ``period``.  The
-    default is the trivial grading ``(1, (0,) * n)``, which every matrix has;
-    a declared grading is checked once per distinct series and class.
+    ``grading = (period, labels)`` labels every column, and row ``i`` like
+    column ``i``: entry ``(i, j)`` is supported on exponents congruent to
+    ``labels[j] - labels[i]`` mod ``period``.  The default is the trivial
+    grading ``(1, (0, ..., 0))``, which every matrix has; a declared grading
+    is checked once per distinct series and class.
     """
 
     __slots__ = ("rows", "grading")
@@ -97,16 +104,16 @@ class SeriesMatrix:
         grid = tuple(tuple(row) for row in rows)
         if not grid:
             raise ValueError("matrix needs at least one row")
-        size = len(grid)
-        if any(len(row) != size for row in grid):
-            raise ValueError("matrix must be square")
-        period, labels = (1, (0,) * size) if grading is None else grading
+        width = len(grid[0])
+        if width < len(grid) or any(len(row) != width for row in grid):
+            raise ValueError("matrix rows must share one length, at least the row count")
+        period, labels = (1, (0,) * width) if grading is None else grading
         check_int("grading period", period, 1)
         labels = tuple(labels)
         for label in labels:
             check_int("grading label", label)
-        if len(labels) != size:
-            raise ValueError("grading needs one label per row")
+        if len(labels) != width:
+            raise ValueError("grading needs one label per column")
         # Builders reuse one series object across many entries, so each
         # distinct (series, class) pair is checked once.
         order = grid[0][0].order
@@ -148,39 +155,29 @@ def _dense_product(shift: int, f, dense: list, period: int) -> list:
     return out
 
 
-def _eliminate(
-    matrix: SeriesMatrix, rhs: Sequence[TruncatedSeries] = (), augment: bool = False
-):
+def _eliminate(matrix: SeriesMatrix, rhs: Sequence[TruncatedSeries] = ()):
     """Forward elimination over the series ring, no pivot search.
 
     Entry ``(a, b)`` is kept as its ``u``-coefficients, ``coeffs[c::period]``
     with ``c = (labels[b] - labels[a]) % period``; every update stays inside
-    its class.  ``rhs`` is reduced alongside as dense coefficient lists.
-    With ``augment`` the identity follows the matrix as ``n`` trailing
-    columns labelled like its rows, ``[A | I]``, kept and reduced the same
-    way.
+    its class.  Trailing columns of the matrix are reduced with the square
+    part, and ``rhs`` alongside as dense coefficient lists.  Each factor is
+    an exact quotient by the pivot, so no pivot is inverted.
 
-    Returns ``(rows, inverses, vec)``: the upper triangle of the reduced
-    matrix (entries below the diagonal are left stale), trailing columns
-    included, and the inverse of each pivot, as coefficient lists in ``u``,
-    and the reduced right-hand side.  The pivots, and so the determinant,
-    lie in class 0.  Every pivot must be a unit of ``Z[[u]]``, constant term
-    +-1.
+    Returns ``(rows, vec)``: the upper triangle of the reduced matrix
+    (entries below the diagonal are left stale), trailing columns included,
+    as coefficient lists in ``u``, and the reduced right-hand side.  The
+    pivots, and so the determinant, lie in class 0.  Every pivot must be a
+    unit of ``Z[[u]]``, constant term +-1.
     """
     period, labels = matrix.grading
-    n, order = matrix.n, matrix.order
-    columns = labels * 2 if augment else labels
-    classes = [[(lb - la) % period for lb in columns] for la in labels]
+    n, width = matrix.n, len(labels)
+    classes = [[(lb - la) % period for lb in labels] for la in labels[:n]]
     rows = [
         [entry.coeffs[c::period] for entry, c in zip(row, row_classes)]
         for row, row_classes in zip(matrix.rows, classes)
     ]
-    if augment:
-        one, zero = [1] + [0] * (order - 1), [0] * order
-        for a, row in enumerate(rows):
-            row += [(one if a == b else zero)[c::period] for b, c in enumerate(classes[a][n:])]
     vec = [list(series.coeffs) for series in rhs]
-    inverses = []
     for i in range(n):
         pivot = rows[i][i]
         if pivot[0] != 1 and pivot[0] != -1:
@@ -188,15 +185,11 @@ def _eliminate(
                 f"pivot {i} has constant term {pivot[0]}: elimination needs"
                 " unit pivots, constant term +-1"
             )
-        inv = TruncatedSeries(pivot).inverse().coeffs
-        inverses.append(inv)
         row_i = rows[i]
-        # Trailing column n + b of row i is still zero for b > i.
-        width = n + i + 1 if augment else n
         for j in range(i + 1, n):
             c = classes[j][i]
             row_j = rows[j]
-            factor = product_coeffs(row_j[i], inv, len(row_j[i]))
+            factor = quotient_coeffs(row_j[i], pivot, len(row_j[i]))
             for m in range(i + 1, width):
                 # t**c f times t**b g is t**((c + b) % period) times
                 # u**carry f g, where the carry is 1 when c + b >= period.
@@ -206,7 +199,12 @@ def _eliminate(
             if vec:
                 product = _dense_product(c, factor, vec[i], period)
                 vec[j] = [x - y for x, y in zip(vec[j], product)]
-    return rows, inverses, vec
+    return rows, vec
+
+
+def _require_square(matrix: SeriesMatrix) -> None:
+    if len(matrix.grading[1]) != matrix.n:
+        raise ValueError("matrix must be square")
 
 
 def series_determinant(matrix: SeriesMatrix) -> TruncatedSeries:
@@ -216,7 +214,8 @@ def series_determinant(matrix: SeriesMatrix) -> TruncatedSeries:
     triangular form.  They lie in class 0 of the matrix grading, so the
     product is taken in ``u = t**period`` and expanded back to ``t``.
     """
-    rows, _, _ = _eliminate(matrix)
+    _require_square(matrix)
+    rows, _ = _eliminate(matrix)
     det = TruncatedSeries(rows[0][0])
     for i in range(1, matrix.n):
         det = det * TruncatedSeries(rows[i][i])
@@ -225,15 +224,19 @@ def series_determinant(matrix: SeriesMatrix) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def _circulant_block(series: TruncatedSeries, period: int, labels) -> SeriesMatrix:
-    """Rows and columns ``labels`` of the period circulant of ``series``:
-    entry ``(a, b)`` is the ``shift(a, b)`` multisection, graded
-    ``(period, labels)``, and each distinct class is built once."""
+def _circulant_block(
+    series: TruncatedSeries, period: int, labels, trailing=()
+) -> SeriesMatrix:
+    """Rows ``labels`` and columns ``labels``, then ``trailing``, of the
+    period circulant of ``series``: entry ``(a, b)`` is the ``shift(a, b)``
+    multisection, graded ``(period, labels + trailing)``, and each distinct
+    class is built once."""
     check_int("circulant size", period, 1)
-    shifts = [[(b - a) % period for b in labels] for a in labels]
+    columns = (*labels, *trailing)
+    shifts = [[(b - a) % period for b in columns] for a in labels]
     pieces = {c: series.multisection(period, c) for c in set().union(*shifts)}
     rows = [[pieces[c] for c in row] for row in shifts]
-    return SeriesMatrix(rows, (period, labels))
+    return SeriesMatrix(rows, (period, columns))
 
 
 def build_system(dim: int, restriction: PeriodicSet, order: int):
@@ -260,12 +263,13 @@ def solve_linear_system(
     Every pivot must be a unit (constant term +-1); for the systems built
     here the diagonal keeps constant term 1 throughout elimination.
     """
+    _require_square(matrix)
     n, order = matrix.n, matrix.order
     if len(rhs) != n:
         raise ValueError("right-hand side length does not match the matrix")
     if any(series.order != order for series in rhs):
         raise ValueError("right-hand side order does not match the matrix")
-    rows, inverses, vec = _eliminate(matrix, rhs)
+    rows, vec = _eliminate(matrix, rhs)
     period, labels = matrix.grading
     out: list[list | None] = [None] * n
     for i in reversed(range(n)):
@@ -274,31 +278,13 @@ def solve_linear_system(
             shift = (labels[m] - labels[i]) % period
             product = _dense_product(shift, rows[i][m], out[m], period)
             acc = [x - y for x, y in zip(acc, product)]
-        out[i] = _dense_product(0, inverses[i], acc, period)
+        # The pivot is a series in u = t**period: divide class by class.
+        # Only classes below the order occur, however large the period.
+        for c in range(min(period, order)):
+            part = acc[c::period]
+            acc[c::period] = quotient_coeffs(part, rows[i][i], len(part))
+        out[i] = acc
     return [TruncatedSeries(coeffs) for coeffs in out]
-
-
-def _graded_inverse(matrix: SeriesMatrix) -> list:
-    """The inverse of ``matrix`` by elimination of ``[matrix | I]`` and back
-    substitution in ``u``: entry ``(a, b)`` as the ``u``-coefficients of its
-    class ``labels[b] - labels[a]``, the grading of ``matrix`` itself."""
-    rows, inverses, _ = _eliminate(matrix, augment=True)
-    period, labels = matrix.grading
-    n = matrix.n
-    out: list[list | None] = [None] * n
-    for i in reversed(range(n)):
-        row_i = rows[i]
-        solved = []
-        for b in range(n):
-            acc = row_i[n + b]
-            for m in range(i + 1, n):
-                c = (labels[m] - labels[i]) % period
-                carry = c + (labels[b] - labels[m]) % period >= period
-                product = product_coeffs(row_i[m], out[m][b], len(acc), carry)
-                acc = [x - y for x, y in zip(acc, product)]
-            solved.append(product_coeffs(inverses[i], acc, len(acc)))
-        out[i] = solved
-    return out
 
 
 def solve_complement(
@@ -306,35 +292,51 @@ def solve_complement(
 ) -> list[TruncatedSeries]:
     """Walk series per admissible residue, solved over the forbidden ones.
 
-    Entry ``(s, q)`` of ``B_SS`` is the ``shift(s, q)`` multisection of the
-    loop series.  Entry ``s`` of ``z = B_SS^-1 1_S`` has its class
-    ``q - s`` part in entry ``(s, q)`` of ``B_SS^-1``, which is graded like
-    ``B_SS``, so ``z`` is kept by class: the class ``q - r`` part of
-    ``(B_RS z)_r`` is the sum over ``s`` of the class ``s - r`` part of the
-    loop series times entry ``(s, q)``, each a product in ``u``.  The result
-    is subtracted from ``1`` and divided by ``1 - 4**d t``.  The forbidden
-    residues are enumerated, so the cost grows with the period.
+    ``P_R = (1_R - B_RS B_SS^-1 1_S) / (1 - 4**d t)`` with ``B`` the period
+    circulant of the loop series.  Entry ``r`` of ``B_RS B_SS^-1 1_S`` is
+    the sum over ``s`` of ``W_sr``, with ``W = B_SS^-T B_RS^T``, and
+    ``W_sr`` lives on the single class ``s - r``: the parts interleave in
+    ``P_r`` and need no additions.  ``[B_SS^T | B_RS^T]`` is rows ``-S``
+    and columns ``-S``, then ``-R``, of the circulant, so the one kernel
+    reduces it with trailing columns, and back substitution divides each
+    class part by its pivot.  With one forbidden residue a walk series
+    costs one division of length ``order / period`` and no product.  The
+    forbidden residues are enumerated, so the cost grows with the period,
+    and more than ``MAX_ORDER`` of them are refused.
     """
     check_dim_and_order(dim, order)
     period, residues, weight = restriction.period, restriction.residues, 4**dim
+    one = [1] + [0] * (order - 1)
+    k = period - restriction.size
+    if not k:
+        return [geometric_sum(one, weight)] * restriction.size
+    if k > MAX_ORDER:
+        raise ResourceLimitError(f"{k} forbidden residues exceed the bound {MAX_ORDER}")
     admissible = set(residues)
     forbidden = [s for s in range(period) if s not in admissible]
-    one = [1] + [0] * (order - 1)
-    if not forbidden:
-        return [geometric_sum(one, weight)] * len(residues)
-    loop = LoopModel(dim, order).loop_gf()
-    inverse = _graded_inverse(_circulant_block(loop, period, forbidden))
+    block = _circulant_block(
+        LoopModel(dim, order).loop_gf(),
+        period,
+        [-s % period for s in forbidden],
+        [-r % period for r in residues],
+    )
+    rows, _ = _eliminate(block)
     out = []
-    for r in residues:
+    for b, r in enumerate(residues, k):
         acc = list(one)
-        for b, q in enumerate(forbidden):
-            part = [0] * len(range((q - r) % period, order, period))
-            for s, row in zip(forbidden, inverse):
-                c = (s - r) % period
-                carry = c + (q - s) % period >= period
-                product = product_coeffs(loop.coeffs[c::period], row[b], len(part), carry)
+        parts: list[list | None] = [None] * k
+        for i in reversed(range(k)):
+            row_i, s = rows[i], forbidden[i]
+            part = row_i[b]
+            for m in range(i + 1, k):
+                # Classes s - q and q - r add to s - r, one power of u
+                # higher when their sum passes the period.
+                q = forbidden[m]
+                carry = (s - q) % period + (q - r) % period >= period
+                product = product_coeffs(row_i[m], parts[m], len(part), carry)
                 part = [x - y for x, y in zip(part, product)]
-            acc[(q - r) % period :: period] = part
+            parts[i] = quotient_coeffs(part, row_i[i], len(part))
+            acc[(s - r) % period :: period] = [-x for x in parts[i]]
         out.append(geometric_sum(acc, weight))
     return out
 
@@ -375,11 +377,11 @@ def _route_costs(dim: int, restriction: PeriodicSet, order: int) -> tuple:
       4 it first inverts the loop series, ``order**2 / 2`` products in
       ``order`` passes, unless ``loops`` already holds ``1/L`` at this
       order.
-    - The complement route eliminates ``[B_SS | I]``, back-substitutes and
-      forms ``B_RS z`` class by class: ``k**3 + n k**2 + k - 1`` entry
-      products, each followed by a pass of ``m`` elements.  A full set,
-      ``k = 0``, costs nothing, and a count past the float range is
-      infinite.
+    - The complement route eliminates ``[B_SS^T | B_RS^T]``, with
+      ``k (k-1) (1+n) / 2 + (k-1) k (2k-1) / 6`` entry products and
+      quotients, and back-substitutes with ``n k (k-1) / 2 + n k`` more,
+      each followed by a pass of ``m`` elements.  A full set, ``k = 0``,
+      costs nothing, and a count past the float range is infinite.
 
     Big-integer arithmetic adds ``(dim * order / BIG_LENGTH)**2`` to the
     cost of each product and each element.
@@ -399,7 +401,8 @@ def _route_costs(dim: int, restriction: PeriodicSet, order: int) -> tuple:
     if not k:
         return reciprocal, 0
     try:
-        entries = k**3 + n * k * k + k - 1
+        entries = k * (k - 1) * (1 + n) / 2 + (k - 1) * k * (2 * k - 1) / 6
+        entries += n * k * (k - 1) / 2 + n * k
         return reciprocal, cost(entries * m * m / 2, entries, entries * m)
     except OverflowError:
         # Past the float range: the route would enumerate every forbidden

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import payload_to_series
-from lattice_gf import cli
+from lattice_gf import cli, loops
 from lattice_gf.cli import main, series_to_payload
 from lattice_gf.periodic import PeriodicSet
 from lattice_gf.series import TruncatedSeries
@@ -173,6 +173,28 @@ class TestGfCommand:
             "--order", "4")
         assert code == 3
         assert "resource limit" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gf", "--dim", "1", "--residues", "0", "--period", "2"),
+        ("verify-hn",),
+        ("verify-circulant", "--dim", "2"),
+    ])
+    @pytest.mark.parametrize("order", [loops.MAX_ORDER + 1, 10**30])
+    def test_order_past_the_bound_exit_3(self, capsys, argv, order):
+        # 10**30 cannot even size a coefficient list: refused, not overflowed.
+        code, out, err = run_cli(capsys, *argv, "--order", str(order))
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"resource limit: truncation order {order} exceeds the bound {loops.MAX_ORDER}\n")
+
+    def test_compare_past_the_order_bound_keeps_the_oracle_refusal(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compare", "--dim", "1", "--residues", "0", "--period", "2",
+            "--order", str(10**30))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"resource limit: grid of {4 * 10**30 - 1} cells exceeds the budget")
 
     def test_unknown_flag_exit_2(self, capsys):
         code, _, _ = run_cli(

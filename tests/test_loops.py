@@ -99,6 +99,15 @@ class TestLoopModel:
         with pytest.raises(ResourceLimitError):
             LoopModel(dim=5, order=4)
 
+    def test_order_cap(self):
+        # Every loop-series path passes the check, so a huge order is
+        # refused before any coefficient list is sized.
+        loops.check_dim_and_order(4, loops.MAX_ORDER)
+        for order in (loops.MAX_ORDER + 1, 10**30):
+            with pytest.raises(ResourceLimitError, match=(
+                    f"^truncation order {order} exceeds the bound {loops.MAX_ORDER}$")):
+                LoopModel(dim=1, order=order)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             LoopModel(dim=0, order=4)
@@ -233,9 +242,8 @@ class TestLoopInversionCounts:
         inverted, loop_series = count_inversions(monkeypatch)
         for task in tasks:
             assert getattr(circulant, task["name"])(*task["args"]), task
-        # The one dim-2 inversion; every other inversion is a pivot.
-        assert loop_series == [60]
-        assert len(inverted) > 1
+        # The one dim-2 inversion, and the only one: pivots are divided by.
+        assert inverted == loop_series == [60]
 
     def test_identity_chain_eliminates_each_staircase_quarter_once(self, monkeypatch):
         tasks = load_benchmark_module("workloads").build_tasks("identity-chain", 1, "full")
@@ -266,5 +274,4 @@ class TestLoopInversionCounts:
         inverted, loop_series = count_inversions(monkeypatch)
         assert cli.main(["verify-hn", "--k-max", "2", "--order", "20"]) == 0
         assert "all checks passed" in capsys.readouterr().out
-        assert loop_series == []
-        assert inverted
+        assert inverted == loop_series == []

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_gf.series import TruncatedSeries, half_power_coeffs, inv_sqrt_one_minus_monomial
+from lattice_gf.series import (
+    TruncatedSeries,
+    half_power_coeffs,
+    inv_sqrt_one_minus_monomial,
+    quotient_coeffs,
+)
 
 from helpers import catalan, sqrt_one_minus_4t
 
@@ -115,7 +120,7 @@ class TestRingOps:
         assert s.inverse().coeffs == (1, -4, -20, -176)
 
     def test_inverse_requires_unit_constant_term(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match="^series with zero constant term has no inverse$"):
             series([0, 1, 2]).inverse()
 
     def test_scalar_multiplication(self):
@@ -183,7 +188,8 @@ class TestExactness:
     def test_non_unit_inverse_refused(self):
         # The inverse would start with 1/a0, which is not in Z.
         for a0 in (2, 3, -7):
-            with pytest.raises(ArithmeticError, match=f"constant term {a0} is not") as excinfo:
+            with pytest.raises(ArithmeticError, match=(
+                    f"^constant term {a0} is not \\+-1: the inverse leaves Z\\[\\[t\\]\\]$")) as excinfo:
                 TruncatedSeries([a0, 1]).inverse()
             assert type(excinfo.value) is ArithmeticError
 
@@ -241,6 +247,35 @@ class TestExactness:
                           (a * b.inverse(), rational_product(a.coeffs, b_inv))):
             assert got.coeffs == tuple(want)
             assert all_int(got)
+
+
+def padded(coeffs, size):
+    return list(coeffs[:size]) + [0] * (size - len(coeffs))
+
+
+class TestQuotient:
+    """``quotient_coeffs``, the one division kernel behind ``inverse`` and
+    elimination, against division over the rationals."""
+
+    @given(series_st(), series_st(unit=True), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=4))
+    def test_matches_rational_division(self, f, g, size, shift):
+        # size runs shorter and longer than both f and g.
+        quotient = rational_product(padded(f.coeffs, size), rational_inverse(padded(g.coeffs, size)))
+        want = padded([0] * shift + quotient, size)
+        got = quotient_coeffs(f.coeffs, g.coeffs, size, shift)
+        assert got == want
+        assert all(type(c) is int for c in got)
+
+    @given(series_st(unit=True))
+    def test_inverse_is_the_quotient_of_one(self, g):
+        assert g.inverse().coeffs == tuple(quotient_coeffs((1,), g.coeffs, g.order))
+
+    def test_negative_constant_term(self):
+        # (2 + t) / (-1 + t) = -(2 + t)(1 + t + t^2 + ...) = -2 - 3t - 3t^2 - ...
+        assert quotient_coeffs([2, 1], [-1, 1], 5) == [-2, -3, -3, -3, -3]
+        assert quotient_coeffs([2, 1], [-1, 1], 5, 2) == [0, 0, -2, -3, -3]
+        assert quotient_coeffs([2, 1], [-1, 1], 2, 3) == [0, 0]
 
 
 class TestMultisection:

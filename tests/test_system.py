@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_gf import loops, system
+from lattice_gf.errors import ResourceLimitError
 from lattice_gf.loops import LoopModel
 from lattice_gf.oracle import count_restricted
 from lattice_gf.periodic import PeriodicSet, hajnal_nagy_set
@@ -216,7 +217,7 @@ class TestGradedSolve:
         for dim, restriction in ((1, PeriodicSet((0, 2, 3), 5)),
                                  (2, hajnal_nagy_set(3))):
             matrix, _ = build_system(dim, restriction, 20)
-            rows, _, _ = system._eliminate(SeriesMatrix(matrix.rows))
+            rows, _ = system._eliminate(SeriesMatrix(matrix.rows))
             res, period = restriction.residues, restriction.period
             for a in range(len(res)):
                 for b in range(a, len(res)):
@@ -368,6 +369,18 @@ class TestComplementRoute:
         assert one_forbidden_closed_form(2, restriction, 3, 10).coeffs == expected
         assert restricted_path_gf(2, restriction, 3, 10).coeffs == expected
 
+    def test_forbidden_residues_past_the_bound_refused(self, monkeypatch):
+        # Refused before the forbidden residues are enumerated or a loop
+        # series is built: 10**12 of them would be a list of 10**12 ints.
+        def refuse(*args):
+            raise AssertionError("a refused set built a loop series")
+
+        monkeypatch.setattr(LoopModel, "loop_gf", refuse)
+        for period in (loops.MAX_ORDER + 2, 10**12):
+            with pytest.raises(ResourceLimitError, match=(
+                    f"^{period - 1} forbidden residues exceed the bound {loops.MAX_ORDER}$")):
+                solve_complement(1, PeriodicSet((0,), period), 5)
+
     def test_full_set_needs_no_loop_series(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a full set built a loop series")
@@ -413,8 +426,8 @@ class TestRouteCounts:
             solve_restricted(3, PeriodicSet(residues, period), order)
             assert builds == []
             assert loops._reciprocals == {}
-            # The one pivot, a series in t**period.
-            assert inverted == [len(range(0, order, period))]
+            # The pivots are divided by, never inverted.
+            assert inverted == []
 
     def test_deep_series_dim2_tie_inverts_no_loop_series(self, monkeypatch):
         # {0} mod 2 forbids as many residues as it admits; with 1/L not yet
@@ -425,30 +438,52 @@ class TestRouteCounts:
         solve_restricted(2, PeriodicSet((0,), 2), order)
         assert builds == []
         assert loops._reciprocals == {}
-        assert inverted == [order // 2] == [200]
+        assert inverted == []
 
-    def test_wide_and_staircase_sets_take_the_reciprocal_route(self, monkeypatch):
+    def test_one_forbidden_residue_divides_once_per_walk_series(self, monkeypatch):
+        # |S| = 1: one division of length order / period per admissible
+        # residue, and no product at all.
+        calls = []
+
+        def counting(name):
+            original = getattr(system, name)
+
+            def counted(f, g, *rest):
+                calls.append((name, len(g)))
+                return original(f, g, *rest)
+
+            return counted
+
+        for name in ("product_coeffs", "quotient_coeffs"):
+            monkeypatch.setattr(system, name, counting(name))
+        restriction = PeriodicSet((0, 1, 2, 4), 5)
+        solve_complement(2, restriction, 40)
+        assert calls == [("quotient_coeffs", 8)] * restriction.size
+
+    def test_wide_sets_take_the_reciprocal_route(self, monkeypatch):
         workloads = load_benchmark_module("workloads")
-        scale = workloads.SCALES["full"]
-        dim, order = scale["wide_drawn"]
-        stair_k, stair_order = scale["wide_stair"]
-        cases = [(dim, PeriodicSet(*pair), order) for pair in workloads.wide_pool("full")]
-        cases += [(1, PeriodicSet(*workloads.staircase(stair_k)), stair_order)]
-        assert len(cases) == 9
-        for dim, restriction, order in cases:
+        dim, order = workloads.SCALES["full"]["wide_drawn"]
+        cases = [PeriodicSet(*pair) for pair in workloads.wide_pool("full")]
+        assert len(cases) == 8
+        for restriction in cases:
             builds, _ = count_route(monkeypatch)
             solve_restricted(dim, restriction, order)
             assert builds == [(dim, restriction, order)], restriction
+
+    def test_wide_staircase_takes_the_complement_route(self, monkeypatch):
+        workloads = load_benchmark_module("workloads")
+        k, order = workloads.SCALES["full"]["wide_stair"]
+        builds, inverted = count_route(monkeypatch)
+        solve_restricted(1, PeriodicSet(*workloads.staircase(k)), order)
+        assert builds == [] and inverted == []
 
     def test_identity_chain_staircases_take_the_estimated_route(self, monkeypatch):
         # (dim, k): the route with loops._reciprocals cold, and holding 1/L
         # at the order of the workload.
         expected = {
-            (1, 1): ("complement", "complement"),
-            **{(1, k): ("reciprocal", "reciprocal") for k in range(2, 7)},
-            (2, 1): ("complement", "complement"),
-            (2, 2): ("complement", "reciprocal"),
-            (2, 3): ("complement", "reciprocal"),
+            **{(1, k): ("complement", "complement") for k in range(1, 6)},
+            (1, 6): ("reciprocal", "reciprocal"),
+            **{(2, k): ("complement", "complement") for k in range(1, 4)},
         }
         workloads = load_benchmark_module("workloads")
         seen = {}
