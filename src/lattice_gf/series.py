@@ -8,7 +8,9 @@ types, such as ``bool``, are converted with ``operator.index``; a rational,
 floating-point or decimal coefficient is refused with ``TypeError``.  The
 ring stays closed: ``quotient_coeffs`` divides only by series with constant
 term +-1, the inverse is the quotient of 1, and the square-root expansion
-needs a base divisible by 4.
+needs a base divisible by 4.  ``add_product_coeffs`` is the one product
+kernel: it adds a product into the caller's list, so a ring product starts
+from zeros and an elimination step updates its entry in place.
 
 The binomial family ``(1 - 4 b x) ** (+-1/2)`` is expanded in one place,
 ``half_power_coeffs``.  ``loops`` raises the coefficients of
@@ -36,14 +38,17 @@ from .errors import check_int
 _INT = frozenset((int,))
 
 
-def product_coeffs(f, g, size: int, shift: int = 0) -> list:
-    """Coefficients of ``x**shift * f(x) * g(x)`` below ``x**size``.
+def add_product_coeffs(out: list, f, g, shift: int = 0) -> None:
+    """Add the coefficients of ``x**shift * f(x) * g(x)`` below
+    ``x**len(out)`` to ``out``, in place.
 
+    The one product kernel: a product is accumulated into a list of zeros,
+    and an elimination step into the entry it updates, with no second pass.
     Multisections are sparse, so the loop walks only the nonzero terms of
     ``g``.
     """
+    size = len(out)
     support = [(j, gj) for j, gj in enumerate(g) if gj]
-    out = [0] * size
     for i, fi in enumerate(f, shift):
         if not fi:
             continue
@@ -52,7 +57,6 @@ def product_coeffs(f, g, size: int, shift: int = 0) -> list:
             if j >= limit:
                 break
             out[i + j] += fi * gj
-    return out
 
 
 def quotient_coeffs(f, g, size: int, shift: int = 0) -> list:
@@ -147,7 +151,9 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        return TruncatedSeries(product_coeffs(self.coeffs, other.coeffs, self.order))
+        out = [0] * self.order
+        add_product_coeffs(out, self.coeffs, other.coeffs)
+        return TruncatedSeries(out)
 
     __rmul__ = __mul__
 

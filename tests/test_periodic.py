@@ -103,11 +103,15 @@ class TestValueSemantics:
             assert repr(twin) == repr(s)
 
     def test_equal_sets_share_one_cache_entry(self):
+        # A residue read through one spelling of the set is kept in the
+        # entry that the other spelling then reads.
         system._solutions.clear()
-        first = system.solve_restricted(1, PeriodicSet((0, 1), 3), 8)
+        first = system.restricted_path_gf(1, PeriodicSet((0, 1), 3), 1, 8)
         again = system.solve_restricted(1, PeriodicSet([1, 0], 3), 8)
         assert list(system._solutions) == [(1, PeriodicSet((0, 1), 3))]
-        assert again.series == first.series
+        (entry,) = system._solutions.values()
+        assert entry.series == again.series
+        assert again.series[1] is first
         system._solutions.clear()
 
 

@@ -1,6 +1,7 @@
 """Tests for the restricted-walk linear system and its solutions."""
 
-from collections import OrderedDict
+import random
+from collections import Counter, OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -217,7 +218,7 @@ class TestGradedSolve:
         for dim, restriction in ((1, PeriodicSet((0, 2, 3), 5)),
                                  (2, hajnal_nagy_set(3))):
             matrix, _ = build_system(dim, restriction, 20)
-            rows, _ = system._eliminate(SeriesMatrix(matrix.rows))
+            rows = system._eliminate(SeriesMatrix(matrix.rows))
             res, period = restriction.residues, restriction.period
             for a in range(len(res)):
                 for b in range(a, len(res)):
@@ -247,13 +248,21 @@ class TestSolutionCache:
         assert all(s.order == 12 for s in half.series.values())
 
     def test_higher_order_replaces_entry(self):
-        restriction = PeriodicSet((0, 2), 5)
-        system._solutions.clear()
-        solve_restricted(1, restriction, 6)
-        solve_restricted(1, restriction, 14)
-        assert len(system._solutions) == 1
-        (solved,) = system._solutions.values()
-        assert solved[0].order == 14
+        # On both routes a read past the cached order solves the set again
+        # at the new order, and the entry keeps only what that solve gave:
+        # every residue on the reciprocal route, the one asked on the
+        # complement route.
+        for residues, complement in (((0, 2), False), ((0, 1, 2, 4), True)):
+            restriction = PeriodicSet(residues, 5)
+            system._solutions.clear()
+            solve_restricted(1, restriction, 6)
+            restricted_path_gf(1, restriction, 2, 14)
+            assert len(system._solutions) == 1
+            (entry,) = system._solutions.values()
+            assert entry.order == 14
+            assert entry.route == ("complement" if complement else "reciprocal")
+            assert sorted(entry.series) == ([2] if complement else [0, 2])
+            assert all(s.order == 14 for s in entry.series.values())
 
     def test_bounded(self):
         system._solutions.clear()
@@ -414,6 +423,30 @@ def count_route(monkeypatch):
     return builds, inverted
 
 
+def count_kernels(monkeypatch):
+    """Calls of the two solver kernels from now on, as ``(name, *operands)``
+    with every list operand copied to a tuple when the call is made."""
+    calls = []
+
+    def counting(name):
+        original = getattr(system, name)
+
+        def counted(*args):
+            calls.append((name, *(tuple(a) if isinstance(a, list) else a for a in args)))
+            return original(*args)
+
+        return counted
+
+    for name in ("add_product_coeffs", "quotient_coeffs"):
+        monkeypatch.setattr(system, name, counting(name))
+    return calls
+
+
+def takes_complement(dim, restriction, order):
+    reciprocal, complement = system._route_costs(dim, restriction, order)
+    return complement < reciprocal
+
+
 class TestRouteCounts:
     """Structural counts: which route each benchmark workload's sets take."""
 
@@ -443,22 +476,11 @@ class TestRouteCounts:
     def test_one_forbidden_residue_divides_once_per_walk_series(self, monkeypatch):
         # |S| = 1: one division of length order / period per admissible
         # residue, and no product at all.
-        calls = []
-
-        def counting(name):
-            original = getattr(system, name)
-
-            def counted(f, g, *rest):
-                calls.append((name, len(g)))
-                return original(f, g, *rest)
-
-            return counted
-
-        for name in ("product_coeffs", "quotient_coeffs"):
-            monkeypatch.setattr(system, name, counting(name))
+        calls = count_kernels(monkeypatch)
         restriction = PeriodicSet((0, 1, 2, 4), 5)
         solve_complement(2, restriction, 40)
-        assert calls == [("quotient_coeffs", 8)] * restriction.size
+        assert [(name, len(g)) for name, f, g, size in calls] == [
+            ("quotient_coeffs", 8)] * restriction.size
 
     def test_wide_sets_take_the_reciprocal_route(self, monkeypatch):
         workloads = load_benchmark_module("workloads")
@@ -527,6 +549,213 @@ class TestRouteChoice:
         # switches some sets from the complement to the reciprocal route.
         assert {cold_complement for cold_complement, _ in routes} == {False, True}
         assert ((True, False) in routes) == (dim > 1)
+
+
+def query_in_order(dim, restriction, order, rng):
+    """Read the residues of a set in a random order at mixed orders, each
+    read through ``restricted_path_gf``: some at ``order``, then the rest
+    at lower orders, served as prefixes, then one at a higher order, which
+    solves again.  Checks the route of each solve against ``_route_costs``
+    just before it, and every series against cold all-residue solves of
+    both routes.  Returns the routes taken, True for the complement."""
+    residues = list(restriction.residues)
+    rng.shuffle(residues)
+    split = rng.randint(1, len(residues))
+    higher = order + rng.randint(1, 6)
+    reads = [(r, order) for r in residues[:split]]
+    reads += [(r, rng.randint(1, order)) for r in residues[split:] + residues[:split]]
+    reads.append((rng.choice(residues), higher))
+    key, got, routes = (dim, restriction), [], []
+    for r, n in reads:
+        entry = system._solutions.get(key)
+        solves = entry is None or entry.order < n
+        if solves:
+            routes.append(takes_complement(dim, restriction, n))
+        got.append((r, n, restricted_path_gf(dim, restriction, r, n).coeffs))
+        if solves:
+            assert system._solutions[key].route == ("complement" if routes[-1] else "reciprocal")
+    cold = {}
+    for n in (order, higher):
+        complement = [s.coeffs for s in solve_complement(dim, restriction, n)]
+        reciprocal = [s.coeffs for s in solve_linear_system(*build_system(dim, restriction, n))]
+        assert complement == reciprocal
+        cold[n] = dict(zip(restriction.residues, complement))
+    for r, n, coeffs in got:
+        want = cold[higher if n == higher else order][r][:n]
+        assert coeffs == want, (restriction, r, n)
+    return routes
+
+
+class TestResiduesOnDemand:
+    """A complement-route entry solves each residue when it is first asked,
+    from the factors it keeps."""
+
+    def test_one_forbidden_residue_one_division(self, monkeypatch):
+        # |S| = 1: one start residue is one quotient, and no product.
+        restriction = PeriodicSet((0, 1, 2, 4), 5)
+        assert takes_complement(2, restriction, 40)
+        calls = count_kernels(monkeypatch)
+        restricted_path_gf(2, restriction, 2, 40)
+        assert [name for name, *_ in calls] == ["quotient_coeffs"]
+
+    @pytest.mark.parametrize("dim, residues, period, order", [
+        (1, range(8), 16, 200),
+        (1, (0, 1, 2, 4), 7, 40),
+        (2, (0, 1, 3, 4), 6, 30),
+        (3, (0, 1, 2, 4, 5), 7, 14),
+    ])
+    def test_residues_one_by_one_repeat_one_all_residue_solve(
+            self, dim, residues, period, order, monkeypatch):
+        # Every residue read alone, in any order, makes the kernel calls of
+        # one solve_restricted, product for product: the block is factored
+        # once, and each residue costs its own column only, whether the
+        # first read completes the entry or not.
+        restriction = PeriodicSet(residues, period)
+        assert takes_complement(dim, restriction, order)
+        calls = count_kernels(monkeypatch)
+        solve_restricted(dim, restriction, order)
+        together = Counter(calls)
+        system._solutions.clear()
+        calls.clear()
+        starts = list(restriction.residues)
+        random.Random(period).shuffle(starts)
+        for r in starts:
+            restricted_path_gf(dim, restriction, r, order)
+        assert Counter(calls) == together
+        assert len(calls) == system._complement_entries(restriction.size, period - restriction.size)
+
+    def test_lower_order_read_makes_no_kernel_call(self, monkeypatch):
+        restriction = PeriodicSet((0, 1, 2, 3, 5), 7)
+        assert takes_complement(2, restriction, 30)
+        calls = count_kernels(monkeypatch)
+        first = restricted_path_gf(2, restriction, 3, 30)
+        calls.clear()
+        assert restricted_path_gf(2, restriction, 3, 11).coeffs == first.coeffs[:11]
+        assert calls == []
+        # A residue the entry lacks costs its column only, k (k-1) products
+        # and k quotients with k = 2, solved at the entry's order 30: 4 or 5
+        # terms in u = t**7 per class.
+        restricted_path_gf(2, restriction, 1, 11)
+        names = Counter(name for name, *_ in calls)
+        assert names == {"add_product_coeffs": 2, "quotient_coeffs": 2}
+        assert {len(f) for name, f, *_ in calls if name == "quotient_coeffs"} <= {4, 5}
+
+    def test_first_read_completes_a_set_with_no_more_admissible_residues(self):
+        # Every set of period <= 8 on the complement route: one read
+        # completes the entry, and drops its factors, exactly when the set
+        # admits no more residues than it forbids.
+        completed = set()
+        for period in range(1, 9):
+            for mask in range(1, 2**period, 2):
+                restriction = PeriodicSet([r for r in range(period) if mask >> r & 1], period)
+                if not takes_complement(1, restriction, period + 3):
+                    continue
+                system._solutions.clear()
+                restricted_path_gf(1, restriction, 0, period + 3)
+                (entry,) = system._solutions.values()
+                complete = len(entry.series) == restriction.size
+                assert complete == (entry.factored is None)
+                assert complete == (2 * restriction.size <= period or restriction.size == 1)
+                completed.add(complete)
+        assert completed == {False, True}
+
+    def test_requery_after_a_completing_read_is_a_hit(self, monkeypatch):
+        # The wide-system pattern: residue 0 of the staircase, then every
+        # residue.  The first read solves them all, so the second makes no
+        # kernel call.
+        workloads = load_benchmark_module("workloads")
+        k, order = workloads.SCALES["full"]["wide_stair"]
+        restriction = PeriodicSet(*workloads.staircase(k))
+        calls = count_kernels(monkeypatch)
+        restricted_path_gf(1, restriction, 0, order)
+        assert len(calls) == system._complement_entries(k, k)
+        calls.clear()
+        for r in restriction.residues:
+            restricted_path_gf(1, restriction, r, order)
+        assert calls == []
+
+    def test_counted_calls_equal_the_route_count(self, monkeypatch):
+        # Every set of period <= 8: the kernel calls of the complement route
+        # are the entry count _route_costs charges it, and so are those of a
+        # cold _solution_tuple that takes that route.
+        calls = count_kernels(monkeypatch)
+        taken = 0
+        for period in range(1, 9):
+            for mask in range(1, 2**period, 2):
+                restriction = PeriodicSet([r for r in range(period) if mask >> r & 1], period)
+                n, order = restriction.size, period + 3
+                entries = system._complement_entries(n, period - n)
+                calls.clear()
+                solve_complement(1, restriction, order)
+                assert len(calls) == entries, restriction
+                if takes_complement(1, restriction, order):
+                    taken += 1
+                    system._solutions.clear()
+                    calls.clear()
+                    system._solution_tuple(1, restriction, order)
+                    assert len(calls) == entries, restriction
+        assert taken > 100
+
+    @given(st.integers(min_value=1, max_value=3), periodic_set_st(),
+           st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=2**32),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_any_query_order_matches_cold_solves(self, dim, restriction, order, seed, warm):
+        # Both routes: in dimensions 2 and 3 a cached 1/L moves some sets
+        # to the reciprocal route.
+        if dim == 3:
+            order = min(order, 14)
+        system._solutions.clear()
+        loops._reciprocals.clear()
+        if warm:
+            LoopModel(dim, order).reciprocal_loop_gf()
+        query_in_order(dim, restriction, order, random.Random(seed))
+
+    @pytest.mark.parametrize("dim, residues, period, order, route", [
+        (2, (0, 2, 3, 5, 9, 10, 12, 14, 17, 19, 22, 27), 28, 40, False),
+        (1, range(8), 16, 200, True),
+        (2, (0, 2), 5, 30, True),
+        (3, (0, 1), 3, 20, True),
+    ])
+    def test_query_order_on_each_route(self, dim, residues, period, order, route):
+        restriction = PeriodicSet(residues, period)
+        routes = query_in_order(dim, restriction, order, random.Random(order))
+        assert routes == [route, route]
+
+    def test_added_residue_is_checked(self, monkeypatch):
+        # A residue solved from a cached entry passes check_walk_series like
+        # the first: a corrupt quotient is refused with its residue named,
+        # and nothing is kept for it.
+        restriction = PeriodicSet((0, 1, 2, 3, 5), 7)
+        assert takes_complement(1, restriction, 20)
+        restricted_path_gf(1, restriction, 0, 20)
+        quotient = system.quotient_coeffs
+
+        def corrupt(*args):
+            out = quotient(*args)
+            out[-1] -= 10**30
+            return out
+
+        monkeypatch.setattr(system, "quotient_coeffs", corrupt)
+        with pytest.raises(ArithmeticError, match="^restricted-walk series for residue 3 has bad"):
+            restricted_path_gf(1, restriction, 3, 20)
+        (entry,) = system._solutions.values()
+        assert sorted(entry.series) == [0]
+        monkeypatch.setattr(system, "quotient_coeffs", quotient)
+        assert restricted_path_gf(1, restriction, 3, 20) == solve_complement(
+            1, restriction, 20)[3]
+
+    def test_residues_added_later_keep_the_bound(self):
+        # One forbidden residue each: every read solves one residue only.
+        size = system.SOLUTION_CACHE_SIZE
+        sets = [PeriodicSet(range(period - 1), period) for period in range(3, size + 6)]
+        for restriction in sets:
+            restricted_path_gf(1, restriction, 0, 8)
+        for restriction in sets[-size:]:
+            restricted_path_gf(1, restriction, 1, 8)
+            assert len(system._solutions) == size
+        assert list(system._solutions) == [(1, restriction) for restriction in sets[-size:]]
+        assert all(sorted(entry.series) == [0, 1] for entry in system._solutions.values())
 
 
 class TestRestrictedGf:
