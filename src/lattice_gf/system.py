@@ -22,17 +22,17 @@ mod the period, so it is ``t**c`` times a series in ``u = t**period``.  A
 ``SeriesMatrix`` records such a grading as ``(period, labels)``: entry
 ``(i, j)`` lives on exponents congruent to ``labels[j] - labels[i]``.
 Elimination keeps the grading, so the one kernel ``_eliminate``, shared by
-``solve_linear_system``, ``series_determinant`` and ``solve_complement``,
-stores each entry as its ``u``-coefficients only, about ``order / period``
-of them.  Pivots are never inverted: each elimination factor and each step
-of back substitution is an exact quotient by a pivot,
+``solve_linear_system``, ``series_determinant`` and ``_Factored``, stores
+each entry as its ``u``-coefficients only, about ``order / period`` of
+them.  Pivots are never inverted: each elimination factor and each step of
+back substitution is an exact quotient by a pivot,
 ``series.quotient_coeffs``, which costs what an inverse would.  The kernel
-keeps every factor, negated, in the slot below the diagonal that it clears,
-so a right-hand side is reduced afterwards by a forward pass through the
-kept factors, and every update adds a product into the entry in place with
-``series.add_product_coeffs``.  A matrix without structure has the trivial
-grading ``(1, (0, ..., 0))``, under which the same kernel is plain dense
-elimination.
+keeps every pivot negated on the diagonal and every factor negated in the
+slot below the diagonal that it clears, so a right-hand side is reduced
+afterwards by a forward pass through the kept factors, and every update
+adds a product into the entry in place with ``series.add_product_coeffs``.
+A matrix without structure has the trivial grading ``(1, (0, ..., 0))``,
+under which the same kernel is plain dense elimination.
 
 The same series also follow from the forbidden residues ``S``, through the
 loop series ``L`` itself.  Over all residues write ``C(f)`` for the matrix
@@ -50,7 +50,7 @@ Block ``(R, S)`` of ``A B = I`` is ``A_RR B_RS + A_RS B_SS = 0``, hence
 
     P_R = (1_R - B_RS B_SS^-1 1_S) / (1 - 4**d t).
 
-``solve_complement`` takes the transposed solve ``W = B_SS^-T B_RS^T``,
+The complement route takes the transposed solve ``W = B_SS^-T B_RS^T``,
 so that entry ``r`` of ``B_RS B_SS^-1 1_S`` is the sum over ``s`` of
 ``W_sr``.  ``W_sr`` lives on the single class ``s - r``, so the parts
 interleave in ``P_r`` without any addition.  ``B_SS^T`` is rows and
@@ -173,16 +173,16 @@ def _eliminate(matrix: SeriesMatrix) -> list:
     Entry ``(a, b)`` is kept as its ``u``-coefficients, ``coeffs[c::period]``
     with ``c = (labels[b] - labels[a]) % period``; every update stays inside
     its class.  Each factor is an exact quotient by the pivot, so no pivot
-    is inverted.  It is stored negated in the slot it clears, below the
-    diagonal, so every update here and in a later forward pass adds a
-    product in place.
+    is inverted.  The pivot is stored negated on the diagonal and the
+    factor negated in the slot it clears, so every update here, in a later
+    forward pass and in back substitution adds a product in place.
 
     Returns the rows of the factored matrix as coefficient lists in ``u``:
-    the reduced upper triangle, diagonal included, and below it the negated
-    factors.  A right-hand side ``y`` is reduced by adding entry ``(j, i)``
-    times ``y_i`` to ``y_j`` for ``i`` ascending.  The pivots, and so the
-    determinant, lie in class 0.  Every pivot must be a unit of ``Z[[u]]``,
-    constant term +-1.
+    the reduced upper triangle with the negated pivots on its diagonal, and
+    below it the negated factors.  A right-hand side ``y`` is reduced by
+    adding entry ``(j, i)`` times ``y_i`` to ``y_j`` for ``i`` ascending.
+    The pivots, and so the determinant, lie in class 0.  Every pivot must
+    be a unit of ``Z[[u]]``, constant term +-1.
     """
     period, labels = matrix.grading
     classes = [[(lb - la) % period for lb in labels] for la in labels]
@@ -198,8 +198,8 @@ def _eliminate(matrix: SeriesMatrix) -> list:
                 f"pivot {i} has constant term {pivot[0]}: elimination needs"
                 " unit pivots, constant term +-1"
             )
-        negated = [-x for x in pivot]
         row_i = rows[i]
+        row_i[i] = negated = [-x for x in pivot]
         for j in range(i + 1, n):
             c = classes[j][i]
             row_j = rows[j]
@@ -214,16 +214,17 @@ def _eliminate(matrix: SeriesMatrix) -> list:
 def series_determinant(matrix: SeriesMatrix) -> TruncatedSeries:
     """Exact determinant by elimination; every pivot must be a unit.
 
-    The determinant is the product of the pivots on the diagonal of the
-    triangular form.  They lie in class 0 of the matrix grading, so the
-    product is taken in ``u = t**period`` and expanded back to ``t``.
+    The determinant is the product of the pivots, which ``_eliminate``
+    keeps negated on the diagonal: an odd size negates that product once.
+    The pivots lie in class 0 of the matrix grading, so the product is
+    taken in ``u = t**period`` and expanded back to ``t``.
     """
     rows = _eliminate(matrix)
     det = TruncatedSeries(rows[0][0])
     for i in range(1, matrix.n):
         det = det * TruncatedSeries(rows[i][i])
     coeffs = [0] * matrix.order
-    coeffs[:: matrix.grading[0]] = det.coeffs
+    coeffs[:: matrix.grading[0]] = [-x for x in det.coeffs] if matrix.n % 2 else det.coeffs
     return TruncatedSeries(coeffs)
 
 
@@ -285,10 +286,9 @@ def solve_linear_system(
             _add_dense_product(acc, (labels[m] - labels[i]) % period, rows[i][m], out[m], period)
         # The pivot is a series in u = t**period: divide class by class.
         # Only classes below the order occur, however large the period.
-        negated = [-x for x in rows[i][i]]
         for c in range(min(period, order)):
             part = acc[c::period]
-            acc[c::period] = quotient_coeffs(part, negated, len(part))
+            acc[c::period] = quotient_coeffs(part, rows[i][i], len(part))
         out[i] = acc
     return [TruncatedSeries(coeffs) for coeffs in out]
 
@@ -301,12 +301,12 @@ class _Factored:
     Column ``r`` of ``B_RS^T`` holds class ``s - r`` of the loop series on
     the row of each forbidden ``s``, so it is read off the loop series when
     asked.  A forward pass through the kept factors reduces it, and back
-    substitution divides each class part by its pivot.  The forbidden
-    residues are enumerated, so the cost grows with the period, and more
-    than ``MAX_ORDER`` of them are refused.
+    substitution divides each class part by its negated pivot.  The
+    forbidden residues are enumerated, so the cost grows with the period,
+    and more than ``MAX_ORDER`` of them are refused.
     """
 
-    __slots__ = ("period", "order", "weight", "residues", "forbidden", "loop", "rows", "negated")
+    __slots__ = ("period", "order", "weight", "residues", "forbidden", "loop", "rows")
 
     def __init__(self, dim: int, restriction: PeriodicSet, order: int):
         check_dim_and_order(dim, order)
@@ -317,14 +317,13 @@ class _Factored:
         admissible = set(self.residues)
         self.forbidden = [s for s in range(period) if s not in admissible]
         self.period, self.order, self.weight = period, order, 4**dim
-        self.loop, self.rows, self.negated = (), [], []
+        self.loop, self.rows = (), []
         if k:
             loop = LoopModel(dim, order).loop_gf()
             self.loop = loop.coeffs
             self.rows = _eliminate(
                 _circulant_block(loop, period, [-s % period for s in self.forbidden])
             )
-            self.negated = [[-x for x in row[i]] for i, row in enumerate(self.rows)]
 
     def solve(self, r: int) -> TruncatedSeries:
         """``P_r``: ``1 - sum_s W_sr`` over ``1 - 4**d t``, with ``W_sr`` on
@@ -346,28 +345,9 @@ class _Factored:
                 q = forbidden[m]
                 carry = (s - q) % period + (q - r) % period >= period
                 add_product_coeffs(part, rows[i][m], column[m], carry)
-            column[i] = quotient_coeffs(part, self.negated[i], len(part))
+            column[i] = quotient_coeffs(part, rows[i][i], len(part))
             acc[(s - r) % period :: period] = column[i]
         return geometric_sum(acc, self.weight)
-
-
-def solve_complement(
-    dim: int, restriction: PeriodicSet, order: int
-) -> list[TruncatedSeries]:
-    """Walk series per admissible residue, solved over the forbidden ones.
-
-    ``P_R = (1_R - B_RS B_SS^-1 1_S) / (1 - 4**d t)`` with ``B`` the period
-    circulant of the loop series.  Entry ``r`` of ``B_RS B_SS^-1 1_S`` is
-    the sum over ``s`` of ``W_sr``, with ``W = B_SS^-T B_RS^T``, and
-    ``W_sr`` lives on the single class ``s - r``: the parts interleave in
-    ``P_r`` and need no additions.  ``_Factored`` factors ``B_SS^T`` once
-    and keeps the factors; each residue is then its own column of
-    ``B_RS^T``, one forward pass and one back substitution, solved one
-    after another from the same factors.  With one forbidden residue a walk
-    series costs one division of length ``order / period`` and no product.
-    """
-    factored = _Factored(dim, restriction, order)
-    return [factored.solve(r) for r in restriction.residues]
 
 
 class RestrictedPathSolution:
@@ -451,14 +431,14 @@ def _route_costs(dim: int, restriction: PeriodicSet, order: int) -> tuple:
 
 class _Solved:
     """Entry of the solution cache for one ``(dim, restriction)``: its
-    order, its route, the walk series solved so far by residue and, while
-    a residue is missing, the factored block of the complement route that
-    solves it.  The reciprocal route solves every residue at once."""
+    order, the walk series solved so far by residue and, while a residue
+    is missing, the factored block of the complement route that solves it.
+    The reciprocal route solves every residue at once."""
 
-    __slots__ = ("order", "route", "series", "factored")
+    __slots__ = ("order", "series", "factored")
 
-    def __init__(self, order: int, route: str, series: dict, factored: _Factored | None = None):
-        self.order, self.route, self.series, self.factored = order, route, series, factored
+    def __init__(self, order: int, series: dict, factored: _Factored | None = None):
+        self.order, self.series, self.factored = order, series, factored
 
     def walk_series(self, residue: int) -> TruncatedSeries:
         """The series of an admissible residue: kept, or solved from the
@@ -506,7 +486,7 @@ def _solution_tuple(dim: int, restriction: PeriodicSet, order: int, residues=Non
     if entry is None or entry.order < order:
         reciprocal, complement = _route_costs(dim, restriction, order)
         if complement < reciprocal:
-            entry = _Solved(order, "complement", {}, _Factored(dim, restriction, order))
+            entry = _Solved(order, {}, _Factored(dim, restriction, order))
             if 2 * restriction.size <= restriction.period:
                 for residue in restriction.residues:
                     entry.walk_series(residue)
@@ -514,7 +494,7 @@ def _solution_tuple(dim: int, restriction: PeriodicSet, order: int, residues=Non
             solved = solve_linear_system(*build_system(dim, restriction, order))
             for residue, series in zip(restriction.residues, solved):
                 check_walk_series(residue, series)
-            entry = _Solved(order, "reciprocal", dict(zip(restriction.residues, solved)))
+            entry = _Solved(order, dict(zip(restriction.residues, solved)))
         _solutions[key] = entry
     _solutions.move_to_end(key)
     if len(_solutions) > SOLUTION_CACHE_SIZE:

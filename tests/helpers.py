@@ -6,7 +6,8 @@ step-by-step polygon walk for cyclic distances, which checks
 ``shift_distance``, the range-checked ``(target - start) % period`` that the
 system tests index multisections with.  The matrix helpers
 build identity matrices, matrix products and matrix-vector products entry by
-entry, ``odd_length_count`` reads one value off an oracle table, and
+entry, ``leibniz_determinant`` sums signed products over permutations,
+``odd_length_count`` reads one value off an oracle table, and
 ``payload_to_series`` reads back the exact coefficients of a CLI document.
 ``unfolded_counts`` is the reference for the folded oracle: the same dynamic
 program over every site of the unfolded grid.  ``reduction_check`` and
@@ -15,11 +16,15 @@ solve, by multisection, and ``one_forbidden_closed_form`` solves a set with
 one forbidden residue by hand.  ``sets_up_to_rotation`` lists the periodic
 sets of small periods for grid tests.  ``load_benchmark_module`` imports a
 file of ``perfbench/`` for the tests that pin what the benchmark reaches.
+``solve_complement`` is no independent oracle: it runs the library's
+complement route for every admissible residue, whatever route the solution
+cache would take, as the reference that the cache and the reciprocal route
+are compared with.
 """
 
 import importlib.util
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb
 from pathlib import Path
 
@@ -27,7 +32,7 @@ from lattice_gf.loops import LoopModel
 from lattice_gf.oracle import count_odd_length
 from lattice_gf.periodic import PeriodicSet
 from lattice_gf.series import TruncatedSeries
-from lattice_gf.system import SeriesMatrix, build_system, solve_restricted
+from lattice_gf.system import SeriesMatrix, _Factored, build_system, solve_restricted
 
 
 def catalan(n: int) -> int:
@@ -106,6 +111,31 @@ def mul_vec(matrix: SeriesMatrix, vec) -> list[TruncatedSeries]:
             acc = acc + entry * x
         out.append(acc)
     return out
+
+
+def leibniz_determinant(matrix: SeriesMatrix) -> TruncatedSeries:
+    """Determinant as the sum over permutations of the signed products of
+    entries: no elimination, no pivot and no sign convention to undo."""
+    n, order = matrix.n, matrix.order
+    total = TruncatedSeries([0] * order)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = TruncatedSeries.one(order)
+        for i, j in enumerate(perm):
+            term = term * matrix.rows[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def solve_complement(
+    dim: int, restriction: PeriodicSet, order: int
+) -> list[TruncatedSeries]:
+    """Walk series of every admissible residue on the complement route, in
+    the order of ``restriction.residues``: ``_Factored`` factors ``B_SS^T``
+    once, and each residue is one forward pass and one back substitution of
+    its own column of ``B_RS^T``."""
+    factored = _Factored(dim, restriction, order)
+    return [factored.solve(r) for r in restriction.residues]
 
 
 def reduction_check(

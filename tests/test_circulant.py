@@ -1,5 +1,8 @@
 """Tests for circulant matrices of multisections and the determinant chain."""
 
+import random
+from itertools import product
+
 import pytest
 
 from lattice_gf import circulant
@@ -18,7 +21,7 @@ from lattice_gf.periodic import PeriodicSet
 from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import SeriesMatrix, build_system
 
-from helpers import identity_matrix, matmul, sqrt_one_minus_4t
+from helpers import identity_matrix, leibniz_determinant, matmul, sqrt_one_minus_4t
 
 
 def series(values):
@@ -155,6 +158,29 @@ class TestDeterminant:
         c, d = series([0, 3, 1]), series([1, 0, 5])
         matrix = SeriesMatrix([[a, b], [c, d]])
         assert series_determinant(matrix) == a * d - b * c
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_matches_the_permutation_sum(self, n, graded):
+        # Constant terms +-1 on the diagonal and 0 off it, so every pivot is
+        # a unit with the sign of its diagonal entry: every sign pattern,
+        # odd sizes with -1 pivots included.  The grading (3, (0, 2, 1, 2))
+        # puts two equal labels among the four.
+        period, labels = (3, (0, 2, 1, 2)[:n]) if graded else (1, (0,) * n)
+        rng, order = random.Random(n), 9
+        for signs in product((1, -1), repeat=n):
+            rows = []
+            for i in range(n):
+                row = []
+                for j in range(n):
+                    coeffs = [0] * order
+                    for e in range((labels[j] - labels[i]) % period, order, period):
+                        coeffs[e] = rng.randint(-3, 3)
+                    coeffs[0] = signs[i] if i == j else 0
+                    row.append(series(coeffs))
+                rows.append(row)
+            matrix = SeriesMatrix(rows, (period, labels))
+            assert series_determinant(matrix) == leibniz_determinant(matrix), signs
 
     def test_zero_pivot_rejected(self):
         t = TruncatedSeries.monomial(1, 1, 4)

@@ -18,7 +18,6 @@ from lattice_gf.system import (
     build_system,
     check_walk_series,
     restricted_path_gf,
-    solve_complement,
     solve_linear_system,
     solve_restricted,
 )
@@ -32,6 +31,7 @@ from helpers import (
     reduction_check,
     sets_up_to_rotation,
     shift_distance,
+    solve_complement,
 )
 
 
@@ -225,6 +225,27 @@ class TestGradedSolve:
                     cls = (res[b] - res[a]) % period
                     assert TruncatedSeries(rows[a][b]).is_multisection(period, cls)
 
+    def test_kernel_calls_counted_exactly(self, monkeypatch):
+        # Every set of period <= 8 in dim 1 at order period + 3, with n
+        # residues: elimination makes n (n-1) / 2 quotients and
+        # (n-1) n (2n-1) / 6 entry products, the forward pass and back
+        # substitution n (n-1) dense products, and back substitution one
+        # quotient per pivot and class below the order.  Each solution
+        # still solves its system.
+        calls = count_kernels(monkeypatch)
+        for period in range(1, 9):
+            for mask in range(1, 2**period, 2):
+                restriction = PeriodicSet([r for r in range(period) if mask >> r & 1], period)
+                n, order = restriction.size, period + 3
+                matrix, rhs = build_system(1, restriction, order)
+                calls.clear()
+                assert mul_vec(matrix, solve_linear_system(matrix, rhs)) == rhs, restriction
+                assert Counter(name for name, *_ in calls) == Counter({
+                    "quotient_coeffs": n * (n - 1) // 2 + n * min(period, order),
+                    "add_product_coeffs": (n - 1) * n * (2 * n - 1) // 6,
+                    "_add_dense_product": n * (n - 1),
+                }), restriction
+
 
 class TestSolutionCache:
     def test_lower_order_served_from_prefix(self, monkeypatch):
@@ -247,20 +268,21 @@ class TestSolutionCache:
         assert half.series == cold.series
         assert all(s.order == 12 for s in half.series.values())
 
-    def test_higher_order_replaces_entry(self):
+    def test_higher_order_replaces_entry(self, monkeypatch):
         # On both routes a read past the cached order solves the set again
         # at the new order, and the entry keeps only what that solve gave:
-        # every residue on the reciprocal route, the one asked on the
-        # complement route.
+        # every residue on the reciprocal route, which builds the system,
+        # the one asked on the complement route, which does not.
         for residues, complement in (((0, 2), False), ((0, 1, 2, 4), True)):
             restriction = PeriodicSet(residues, 5)
-            system._solutions.clear()
+            builds, _ = count_route(monkeypatch)
+            assert takes_complement(1, restriction, 14) == complement
             solve_restricted(1, restriction, 6)
             restricted_path_gf(1, restriction, 2, 14)
+            assert builds == ([] if complement else [(1, restriction, 6), (1, restriction, 14)])
             assert len(system._solutions) == 1
             (entry,) = system._solutions.values()
             assert entry.order == 14
-            assert entry.route == ("complement" if complement else "reciprocal")
             assert sorted(entry.series) == ([2] if complement else [0, 2])
             assert all(s.order == 14 for s in entry.series.values())
 
@@ -424,7 +446,7 @@ def count_route(monkeypatch):
 
 
 def count_kernels(monkeypatch):
-    """Calls of the two solver kernels from now on, as ``(name, *operands)``
+    """Calls of the solver kernels from now on, as ``(name, *operands)``
     with every list operand copied to a tuple when the call is made."""
     calls = []
 
@@ -437,7 +459,7 @@ def count_kernels(monkeypatch):
 
         return counted
 
-    for name in ("add_product_coeffs", "quotient_coeffs"):
+    for name in ("add_product_coeffs", "quotient_coeffs", "_add_dense_product"):
         monkeypatch.setattr(system, name, counting(name))
     return calls
 
@@ -556,8 +578,10 @@ def query_in_order(dim, restriction, order, rng):
     read through ``restricted_path_gf``: some at ``order``, then the rest
     at lower orders, served as prefixes, then one at a higher order, which
     solves again.  Checks the route of each solve against ``_route_costs``
-    just before it, and every series against cold all-residue solves of
-    both routes.  Returns the routes taken, True for the complement."""
+    just before it, as the reciprocal route builds the system and the
+    complement route does not, and every series against cold all-residue
+    solves of both routes.  Returns the routes taken, True for the
+    complement."""
     residues = list(restriction.residues)
     rng.shuffle(residues)
     split = rng.randint(1, len(residues))
@@ -565,15 +589,23 @@ def query_in_order(dim, restriction, order, rng):
     reads = [(r, order) for r in residues[:split]]
     reads += [(r, rng.randint(1, order)) for r in residues[split:] + residues[:split]]
     reads.append((rng.choice(residues), higher))
-    key, got, routes = (dim, restriction), [], []
-    for r, n in reads:
-        entry = system._solutions.get(key)
-        solves = entry is None or entry.order < n
-        if solves:
-            routes.append(takes_complement(dim, restriction, n))
-        got.append((r, n, restricted_path_gf(dim, restriction, r, n).coeffs))
-        if solves:
-            assert system._solutions[key].route == ("complement" if routes[-1] else "reciprocal")
+    key, got, routes, builds = (dim, restriction), [], [], []
+    original = system.build_system
+
+    def counting_build(*args):
+        builds.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(system, "build_system", counting_build)
+        for r, n in reads:
+            entry = system._solutions.get(key)
+            solves = entry is None or entry.order < n
+            if solves:
+                routes.append(takes_complement(dim, restriction, n))
+            built = len(builds)
+            got.append((r, n, restricted_path_gf(dim, restriction, r, n).coeffs))
+            assert len(builds) - built == (solves and not routes[-1])
     cold = {}
     for n in (order, higher):
         complement = [s.coeffs for s in solve_complement(dim, restriction, n)]
