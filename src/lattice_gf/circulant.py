@@ -43,7 +43,7 @@ import functools
 from .errors import check_int
 from .loops import LoopModel
 from .periodic import hajnal_nagy_set
-from .series import TruncatedSeries, inv_sqrt_one_minus_monomial
+from .series import TruncatedSeries, inv_sqrt_one_minus_monomial, quotient_coeffs
 from .system import SeriesMatrix, _circulant_block, restricted_path_gf, series_determinant
 
 # Bound of the _staircase records; one identity-chain pass asks for 9
@@ -158,15 +158,7 @@ def _circulant_norm(f: TruncatedSeries, n: int) -> TruncatedSeries:
     c = f.coeffs
     if c[0] != 1:
         raise ValueError(f"constant term {c[0]} is not 1: the circulant norm needs f(0) = 1")
-    support = [(i, fi) for i, fi in enumerate(c) if i and fi]
-    d = [0] * f.order
-    for k in range(1, f.order):
-        acc = k * c[k]
-        for i, fi in support:
-            if i >= k:
-                break
-            acc -= fi * d[k - i]
-        d[k] = acc
+    d = quotient_coeffs([k * ck for k, ck in enumerate(c)], c, f.order)
     sections = d[::n]
     g = [1] * len(sections)
     for k in range(1, len(g)):

@@ -113,8 +113,7 @@ def _max_cells() -> int | None:
         cells = int(raw)
     except ValueError:
         raise ValueError(f"{MAX_CELLS_ENV} must be an integer, got {raw!r}") from None
-    if cells < 1:
-        raise ValueError(f"{MAX_CELLS_ENV} must be positive, got {raw!r}")
+    check_int(MAX_CELLS_ENV, cells, 1)
     return cells
 
 

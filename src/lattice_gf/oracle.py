@@ -51,9 +51,6 @@ class PathCountTable:
         self.restriction = restriction
         self.counts = counts
 
-    def __getitem__(self, k: int) -> int:
-        return self.counts[k]
-
     def __len__(self) -> int:
         return len(self.counts)
 

@@ -11,6 +11,9 @@ term +-1, the inverse is the quotient of 1, and the square-root expansion
 needs a base divisible by 4.  ``add_product_coeffs`` is the one product
 kernel: it adds a product into the caller's list, so a ring product starts
 from zeros and an elimination step updates its entry in place.
+``quotient_coeffs`` is the one division kernel: every exact series division
+of the package is one call per divisor, the only exception being the
+two-term divisor of ``loops.geometric_sum``, a running sum.
 
 The binomial family ``(1 - 4 b x) ** (+-1/2)`` is expanded in one place,
 ``half_power_coeffs``.  ``loops`` raises the coefficients of
@@ -73,8 +76,9 @@ def quotient_coeffs(f, g, size: int, shift: int = 0) -> list:
     support = [(i, gi) for i, gi in enumerate(g[1 : size - shift], 1) if gi]
     out = [0] * size
     for j, acc in zip(range(shift, size), chain(f, repeat(0))):
+        limit = j - shift
         for i, gi in support:
-            if i > j - shift:
+            if i > limit:
                 break
             acc -= gi * out[j - i]
         out[j] = acc if g0 == 1 else -acc

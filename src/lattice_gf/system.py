@@ -25,8 +25,9 @@ Elimination keeps the grading, so the one kernel ``_eliminate``, shared by
 ``solve_linear_system``, ``series_determinant`` and ``_Factored``, stores
 each entry as its ``u``-coefficients only, about ``order / period`` of
 them.  Pivots are never inverted: each elimination factor and each step of
-back substitution is an exact quotient by a pivot,
-``series.quotient_coeffs``, which costs what an inverse would.  The kernel
+back substitution is one exact quotient by a pivot,
+``series.quotient_coeffs``, which costs what an inverse would; a dense
+right-hand side divides by the pivot placed back in ``t``.  The kernel
 keeps every pivot negated on the diagonal and every factor negated in the
 slot below the diagonal that it clears, so a right-hand side is reduced
 afterwards by a forward pass through the kept factors, and every update
@@ -264,7 +265,9 @@ def solve_linear_system(
     Every pivot must be a unit (constant term +-1); for the systems built
     here the diagonal keeps constant term 1 throughout elimination.  The
     right-hand side is dense: a forward pass through the kept factors
-    reduces it, and back substitution divides it class by class.
+    reduces its negation, and back substitution adds into each reduced
+    entry and divides it once by its negated pivot, placed at every
+    ``period``-th index.
     """
     n, order = matrix.n, matrix.order
     if len(rhs) != n:
@@ -273,24 +276,21 @@ def solve_linear_system(
         raise ValueError("right-hand side order does not match the matrix")
     rows = _eliminate(matrix)
     period, labels = matrix.grading
-    vec = [list(series.coeffs) for series in rhs]
+    # The negated right-hand side, so that back substitution divides by the
+    # negated pivots as they stand and every product adds.
+    vec = [[-x for x in series.coeffs] for series in rhs]
     for i in range(n):
         for j in range(i + 1, n):
             _add_dense_product(vec[j], (labels[i] - labels[j]) % period, rows[j][i], vec[i], period)
-    out: list[list | None] = [None] * n
     for i in reversed(range(n)):
-        # (vec_i - sum_m U_im x_m) / U_ii, taken as the negated numerator
-        # over the negated pivot, so that every product adds.
-        acc = [-x for x in vec[i]]
+        # (y_i - sum_m U_im x_m) / U_ii as -y_i + sum_m U_im x_m over the
+        # negated pivot, a series in u = t**period placed back in t.
         for m in range(i + 1, n):
-            _add_dense_product(acc, (labels[m] - labels[i]) % period, rows[i][m], out[m], period)
-        # The pivot is a series in u = t**period: divide class by class.
-        # Only classes below the order occur, however large the period.
-        for c in range(min(period, order)):
-            part = acc[c::period]
-            acc[c::period] = quotient_coeffs(part, rows[i][i], len(part))
-        out[i] = acc
-    return [TruncatedSeries(coeffs) for coeffs in out]
+            _add_dense_product(vec[i], (labels[m] - labels[i]) % period, rows[i][m], vec[m], period)
+        pivot = [0] * order
+        pivot[::period] = rows[i][i]
+        vec[i] = quotient_coeffs(vec[i], pivot, order)
+    return [TruncatedSeries(coeffs) for coeffs in vec]
 
 
 class _Factored:
@@ -301,9 +301,9 @@ class _Factored:
     Column ``r`` of ``B_RS^T`` holds class ``s - r`` of the loop series on
     the row of each forbidden ``s``, so it is read off the loop series when
     asked.  A forward pass through the kept factors reduces it, and back
-    substitution divides each class part by its negated pivot.  The
-    forbidden residues are enumerated, so the cost grows with the period,
-    and more than ``MAX_ORDER`` of them are refused.
+    substitution adds into each reduced entry and divides it once by its
+    negated pivot.  The forbidden residues are enumerated, so the cost
+    grows with the period, and more than ``MAX_ORDER`` of them are refused.
     """
 
     __slots__ = ("period", "order", "weight", "residues", "forbidden", "loop", "rows")
@@ -376,10 +376,10 @@ def _complement_entries(n: int, k: int) -> float:
     admissible and ``k`` forbidden residues: factoring ``B_SS^T`` takes
     ``k (k-1) / 2`` quotients and ``(k-1) k (2k-1) / 6`` products, and each
     residue ``k (k-1) / 2`` products in the forward pass of its column and
-    ``k (k-1) / 2`` products and ``k`` quotients in back substitution.  The
-    count past the float range raises ``OverflowError``."""
-    entries = k * (k - 1) * (1 + n) / 2 + (k - 1) * k * (2 * k - 1) / 6
-    return entries + (n * k * (k - 1) / 2 + n * k)
+    ``k (k-1) / 2`` products and ``k`` quotients in back substitution: in
+    all ``(k**3 - k) / 3 + n k**2``.  The count past the float range raises
+    ``OverflowError``."""
+    return (k**3 - k) / 3 + n * k * k
 
 
 def _route_costs(dim: int, restriction: PeriodicSet, order: int) -> tuple:
@@ -390,10 +390,13 @@ def _route_costs(dim: int, restriction: PeriodicSet, order: int) -> tuple:
     ``m = order / period`` coefficients in ``u``, and a product of two
     entries takes ``m**2 / 2`` coefficient products.
 
-    - The reciprocal route eliminates ``n`` rows, ``(n**3 + 2 n) / 3`` entry
-      products each with a pass of ``m`` elements, and takes ``n**2``
-      products with a dense right-hand side: ``m`` slice passes of up to
-      ``order`` elements each, and one pass of ``order`` elements.  In
+    - The reciprocal route is charged ``(n**3 + 2 n) / 3`` entry products
+      each with a pass of ``m`` elements, and ``n**2`` products with a
+      dense right-hand side: ``m`` slice passes of up to ``order`` elements
+      each, and one pass of ``order`` elements.  It makes ``(n**3 - n) / 3``
+      graded entry quotients and products, ``n`` fewer than charged, and
+      ``n (n-1)`` dense products and ``n`` dense divisions, each about the
+      work of a dense product, for the ``n**2`` charged.  In
       dimensions 2 to 4 it first inverts the loop series, ``order**2 / 2``
       products in ``order`` passes, unless ``loops`` already holds ``1/L``
       at this order.

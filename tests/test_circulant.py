@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from lattice_gf import circulant
+from lattice_gf import series as series_module
 from lattice_gf.circulant import (
     column_substitution_check,
     cramer_ratio_check,
@@ -281,6 +282,26 @@ class TestCirculantNorm:
             target, count = [0] * order, (order - 1) // n + 1
             target[::n] = [c * 4 ** ((n - 1) * j) for j, c in enumerate(root[:count])]
             assert circulant._circulant_norm(TruncatedSeries(root), n).coeffs == tuple(target), n
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_divides_once(self, monkeypatch, dim):
+        # D = t f' / f is one call of the division kernel, and nothing else
+        # in the norm divides or inverts a series.
+        calls = []
+        quotient = series_module.quotient_coeffs
+
+        def counted(*args):
+            calls.append(args)
+            return quotient(*args)
+
+        monkeypatch.setattr(series_module, "quotient_coeffs", counted)
+        monkeypatch.setattr(circulant, "quotient_coeffs", counted)
+        model = LoopModel(dim, 40)
+        for f in (model.loop_gf(), model.reciprocal_loop_gf()):
+            for n in (1, 2, 5):
+                calls.clear()
+                circulant._circulant_norm(f, n)
+                assert [args[1] for args in calls] == [f.coeffs], (n, f)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_refuses_empty_size(self, n):

@@ -148,13 +148,26 @@ RANGE_MESSAGE_TAILS = ("must be positive", "must be nonnegative")
 
 def test_range_rule_spelled_only_in_check_int():
     # errors.check_int words every "<name> must be positive|nonnegative"
-    # refusal; a second spelling of the rule drifts from the first.
+    # refusal; a second spelling of the rule drifts from the first.  It is
+    # looked for anywhere in a string constant, so the constant parts of an
+    # f-string such as f"{name} must be positive, got {raw!r}" count too.
     spelled = []
     for path in SOURCES:
         if path.name == "errors.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                    and node.value.endswith(RANGE_MESSAGE_TAILS)):
+                    and any(tail in node.value for tail in RANGE_MESSAGE_TAILS)):
                 spelled.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert spelled == []
+
+
+def test_no_assert_in_the_package():
+    # Invariants are explicit exceptions: python -O strips every assert.
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

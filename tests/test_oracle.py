@@ -25,12 +25,12 @@ class TestLoops:
         for dim in (1, 2, 3):
             table = count_loops(dim, max_half_len=6)
             for k in range(7):
-                assert table[k] == comb(2 * k, k) ** dim
+                assert table.counts[k] == comb(2 * k, k) ** dim
 
     def test_zero_length_edge_case(self):
         table = count_loops(1, max_half_len=0)
         assert len(table) == 1
-        assert table[0] == 1
+        assert table.counts[0] == 1
 
 
 class TestSimpleLoops:
@@ -48,7 +48,7 @@ class TestSimpleLoops:
         loops = count_loops(dim, max_half_len=6)
         simple = count_simple_loops(dim, max_half_len=6)
         for k in range(1, 7):
-            assert loops[k] == sum(simple[j] * loops[k - j]
+            assert loops.counts[k] == sum(simple.counts[j] * loops.counts[k - j]
                                    for j in range(1, k + 1))
 
 
@@ -64,7 +64,7 @@ class TestEscaping:
             loops = count_loops(dim, max_half_len=5)
             escaping = count_escaping(dim, max_half_len=5)
             for k in range(6):
-                total = sum(loops[j] * escaping[k - j] for j in range(k + 1))
+                total = sum(loops.counts[j] * escaping.counts[k - j] for j in range(k + 1))
                 assert total == (2 ** dim) ** (2 * k)
 
 
@@ -77,19 +77,19 @@ class TestRestricted:
         for dim in (1, 2):
             table = count_restricted(dim, PeriodicSet((0,), 1), max_half_len=4)
             for k in range(5):
-                assert table[k] == (2 * dim) ** (2 * k)
+                assert table.counts[k] == (2 * dim) ** (2 * k)
 
     def test_full_set_dim3(self):
         table = count_restricted(3, PeriodicSet((0,), 1), max_half_len=2)
         for k in range(3):
-            assert table[k] == 64 ** k
+            assert table.counts[k] == 64 ** k
 
     def test_restriction_is_monotone(self):
         # Fewer admissible times can only remove paths.
         small = count_restricted(1, hajnal_nagy_set(1), max_half_len=5)
         large = count_restricted(1, PeriodicSet((0,), 1), max_half_len=5)
         for k in range(6):
-            assert small[k] <= large[k]
+            assert small.counts[k] <= large.counts[k]
 
     def test_table_metadata(self):
         restriction = PeriodicSet((0, 2), 5)
@@ -108,7 +108,7 @@ class TestOddLengths:
                 even = count_restricted(dim, restriction, max_half_len=5)
                 odd = count_odd_length(dim, restriction, max_half_len=5)
                 for k in range(6):
-                    assert odd[k] == (2 ** dim) * even[k]
+                    assert odd.counts[k] == (2 ** dim) * even.counts[k]
 
     def test_single_value_helper(self):
         assert odd_length_count(1, hajnal_nagy_set(1), 1) == 4
@@ -128,7 +128,7 @@ class TestResourceBudget:
         with pytest.raises(ResourceLimitError):
             count_loops(1, max_half_len=5, max_cells=4)
         table = count_loops(1, max_half_len=5, max_cells=1_000)
-        assert table[1] == 2
+        assert table.counts[1] == 2
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
