@@ -234,8 +234,7 @@ def _identity_checks(args, k: int):
 
 def cmd_verify(args) -> int:
     """``verify-hn`` is ``verify-circulant --dim 1`` plus the closed-form check."""
-    if args.k_max < 1:
-        raise ValueError(f"--k-max must be at least 1, got {args.k_max}")
+    check_int("--k-max", args.k_max, 1)
     # At --order 2k or below, the series in t**(2k) of staircase size k are
     # cut to their constant terms, so the largest k would test nothing.
     if args.order <= 2 * args.k_max:

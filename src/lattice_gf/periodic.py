@@ -19,13 +19,12 @@ class PeriodicSet:
 
     def __init__(self, residues, period: int):
         # bool is an int subclass, but True would print where 1 is meant.
-        if not isinstance(period, int) or isinstance(period, bool) or period < 1:
-            raise ValueError("period must be a positive integer")
+        check_int("period", period, 1)
         res = tuple(residues)
         if not res:
             raise ValueError("at least one admissible residue is required")
-        if any(not isinstance(a, int) or isinstance(a, bool) for a in res):
-            raise ValueError("residues must be integers")
+        for a in res:
+            check_int("residue", a)
         if len(set(res)) != len(res):
             raise ValueError(f"duplicate residues in {res!r}")
         if any(a < 0 or a >= period for a in res):

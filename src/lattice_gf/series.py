@@ -62,23 +62,22 @@ def add_product_coeffs(out: list, f, g, shift: int = 0) -> None:
             out[i + j] += fi * gj
 
 
-def quotient_coeffs(f, g, size: int, shift: int = 0) -> list:
-    """Coefficients of ``x**shift * f(x) / g(x)`` below ``x**size``, for
-    ``g`` with constant term +-1, in one pass of
+def quotient_coeffs(f, g, size: int) -> list:
+    """Coefficients of ``f(x) / g(x)`` below ``x**size``, for ``g`` with
+    constant term +-1, in one pass of
 
-        q_j = g_0 (f_{j-shift} - sum_{i>=1} g_i q_{j-i}).
+        q_j = g_0 (f_j - sum_{i>=1} g_i q_{j-i}).
 
     ``g_0`` is its own inverse, so every ``q_j`` is an integer; the caller
     checks it.  A quotient costs what an inverse does, half of an inverse
     followed by a product.  The loop walks only the nonzero terms of ``g``.
     """
     g0 = g[0]
-    support = [(i, gi) for i, gi in enumerate(g[1 : size - shift], 1) if gi]
+    support = [(i, gi) for i, gi in enumerate(g[1:size], 1) if gi]
     out = [0] * size
-    for j, acc in zip(range(shift, size), chain(f, repeat(0))):
-        limit = j - shift
+    for j, acc in zip(range(size), chain(f, repeat(0))):
         for i, gi in support:
-            if i > limit:
+            if i > j:
                 break
             acc -= gi * out[j - i]
         out[j] = acc if g0 == 1 else -acc

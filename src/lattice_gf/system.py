@@ -22,7 +22,7 @@ mod the period, so it is ``t**c`` times a series in ``u = t**period``.  A
 ``SeriesMatrix`` records such a grading as ``(period, labels)``: entry
 ``(i, j)`` lives on exponents congruent to ``labels[j] - labels[i]``.
 Elimination keeps the grading, so the one kernel ``_eliminate``, shared by
-``solve_linear_system``, ``series_determinant`` and ``_Factored``, stores
+``solve_linear_system``, ``series_determinant`` and ``_Solved``, stores
 each entry as its ``u``-coefficients only, about ``order / period`` of
 them.  Pivots are never inverted: each elimination factor and each step of
 back substitution is one exact quotient by a pivot,
@@ -60,25 +60,16 @@ columns ``-S`` of the period circulant of ``L``, and column ``r`` of
 ``_circulant_block`` builds the block and the one kernel factors it.  Each
 residue is its own right-hand side (the transposition principle; Bostan,
 Lecerf and Schost, "Tellegen's principle into practice", ISSAC 2003), so
-``_Factored`` keeps the factors and solves one residue by a forward pass of
-its column and back substitution in ``u``, without touching the others.
-No series is inverted, no product runs over all ``order`` coefficients, and
-with one forbidden residue each walk series is a single division.  A full
-set, ``S`` empty, needs no solve at all and gives ``4**(d j)``.
+the cache entry ``_Solved`` keeps the factors and solves one residue by a
+forward pass of its column and back substitution in ``u``, without touching
+the others.  No series is inverted, no product runs over all ``order``
+coefficients, and with one forbidden residue each walk series is a single
+division.  A full set, ``S`` empty, needs no solve at all and gives
+``4**(d j)``.
 
-``_solution_tuple`` takes whichever route ``_route_costs`` rates cheaper.
-That is a closed-form count, in ``dim``, ``|R|``, ``|S|``, the period and
-the order, of the coefficient products, product calls and slice passes of
-each route.  It includes the inversion of the loop series that the
-reciprocal route pays in dimensions 2 to 4 unless ``loops`` already holds
-``1/L`` at that order, so the route may depend on that cache; the
-coefficients do not.  On the complement route the cache entry keeps the
-factored block and solves each residue the first time it is asked, so a
-caller that reads one start residue of a set with more admissible residues
-than forbidden ones pays for that residue only, and reading every residue
-one by one costs what one all-residue solve does.  A set with no more
-admissible residues than forbidden ones, where the factorization is at
-least a third of the work, is completed by its first read.
+``_solution_entry`` keeps one ``_Solved`` entry per solved set and chooses
+the route of a cold solve by the counted cost of ``_route_costs``; its
+docstring states the cache rule.
 """
 
 from collections import OrderedDict
@@ -89,7 +80,7 @@ from .loops import MAX_ORDER, LoopModel, check_dim_and_order, geometric_sum, has
 from .periodic import PeriodicSet
 from .series import TruncatedSeries, add_product_coeffs, quotient_coeffs
 
-# Entries kept by _solution_tuple, least recently used dropped first.
+# Entries kept by _solution_entry, least recently used dropped first.
 SOLUTION_CACHE_SIZE = 32
 
 # Weights of _route_costs, in the interpreter cost of one coefficient
@@ -293,63 +284,6 @@ def solve_linear_system(
     return [TruncatedSeries(coeffs) for coeffs in vec]
 
 
-class _Factored:
-    """The factored block ``B_SS^T`` of the complement route of one
-    ``(dim, restriction, order)``: ``solve(r)`` is the walk series of an
-    admissible residue ``r``, from its own column alone.
-
-    Column ``r`` of ``B_RS^T`` holds class ``s - r`` of the loop series on
-    the row of each forbidden ``s``, so it is read off the loop series when
-    asked.  A forward pass through the kept factors reduces it, and back
-    substitution adds into each reduced entry and divides it once by its
-    negated pivot.  The forbidden residues are enumerated, so the cost
-    grows with the period, and more than ``MAX_ORDER`` of them are refused.
-    """
-
-    __slots__ = ("period", "order", "weight", "residues", "forbidden", "loop", "rows")
-
-    def __init__(self, dim: int, restriction: PeriodicSet, order: int):
-        check_dim_and_order(dim, order)
-        period, self.residues = restriction.period, restriction.residues
-        k = period - restriction.size
-        if k > MAX_ORDER:
-            raise ResourceLimitError(f"{k} forbidden residues exceed the bound {MAX_ORDER}")
-        admissible = set(self.residues)
-        self.forbidden = [s for s in range(period) if s not in admissible]
-        self.period, self.order, self.weight = period, order, 4**dim
-        self.loop, self.rows = (), []
-        if k:
-            loop = LoopModel(dim, order).loop_gf()
-            self.loop = loop.coeffs
-            self.rows = _eliminate(
-                _circulant_block(loop, period, [-s % period for s in self.forbidden])
-            )
-
-    def solve(self, r: int) -> TruncatedSeries:
-        """``P_r``: ``1 - sum_s W_sr`` over ``1 - 4**d t``, with ``W_sr`` on
-        class ``s - r``.  A full set needs no solve."""
-        period, forbidden, rows = self.period, self.forbidden, self.rows
-        column = [list(self.loop[(s - r) % period :: period]) for s in forbidden]
-        for i, s in enumerate(forbidden):
-            for j in range(i + 1, len(forbidden)):
-                # Classes q - s and s - r add to q - r, one power of u
-                # higher when their sum passes the period.
-                carry = (forbidden[j] - s) % period + (s - r) % period >= period
-                add_product_coeffs(column[j], rows[j][i], column[i], carry)
-        acc = [1] + [0] * (self.order - 1)
-        for i in reversed(range(len(forbidden))):
-            # -W_sr: the reduced entry plus row i times the kept -W_qr, over
-            # the negated pivot.
-            s, part = forbidden[i], column[i]
-            for m in range(i + 1, len(forbidden)):
-                q = forbidden[m]
-                carry = (s - q) % period + (q - r) % period >= period
-                add_product_coeffs(part, rows[i][m], column[m], carry)
-            column[i] = quotient_coeffs(part, rows[i][i], len(part))
-            acc[(s - r) % period :: period] = column[i]
-        return geometric_sum(acc, self.weight)
-
-
 class RestrictedPathSolution:
     """Solved walk series per admissible start residue."""
 
@@ -384,7 +318,7 @@ def _complement_entries(n: int, k: int) -> float:
 
 def _route_costs(dim: int, restriction: PeriodicSet, order: int) -> tuple:
     """Counted cost ``(reciprocal, complement)`` of the two routes of
-    ``_solution_tuple``; it reads no clock.
+    ``_solution_entry``; it reads no clock.
 
     With ``n`` admissible and ``k`` forbidden residues an entry has about
     ``m = order / period`` coefficients in ``u``, and a product of two
@@ -433,36 +367,96 @@ def _route_costs(dim: int, restriction: PeriodicSet, order: int) -> tuple:
 
 
 class _Solved:
-    """Entry of the solution cache for one ``(dim, restriction)``: its
-    order, the walk series solved so far by residue and, while a residue
-    is missing, the factored block of the complement route that solves it.
-    The reciprocal route solves every residue at once."""
+    """Entry of the solution cache: everything solved for one
+    ``(dim, restriction)`` at one order.
 
-    __slots__ = ("order", "series", "factored")
+    ``series`` holds the walk series solved so far by residue, each checked
+    by ``check_walk_series`` before it is kept.  The reciprocal route
+    solves every residue at once and keeps no factors.  The complement
+    route keeps the loop coefficients ``loop`` and the factored block
+    ``B_SS^T``, ``rows``, solves a residue when it is first asked, and
+    drops both once the last residue is in.  Its forbidden residues are
+    enumerated, so the cost grows with the period, and more than
+    ``MAX_ORDER`` of them are refused.
+    """
 
-    def __init__(self, order: int, series: dict, factored: _Factored | None = None):
-        self.order, self.series, self.factored = order, series, factored
+    __slots__ = ("order", "series", "size", "period", "weight", "forbidden", "loop", "rows")
 
-    def walk_series(self, residue: int) -> TruncatedSeries:
-        """The series of an admissible residue: kept, or solved from the
-        factors and checked by ``check_walk_series`` before it is kept.  A
-        complete entry drops its factors."""
+    def __init__(self, dim: int, restriction: PeriodicSet, order: int, complement: bool):
+        self.order, self.series, self.size = order, {}, restriction.size
+        self.loop = self.rows = None
+        if not complement:
+            solved = solve_linear_system(*build_system(dim, restriction, order))
+            for residue, series in zip(restriction.residues, solved):
+                self._keep(residue, series)
+            return
+        period = self.period = restriction.period
+        k = period - restriction.size
+        if k > MAX_ORDER:
+            raise ResourceLimitError(f"{k} forbidden residues exceed the bound {MAX_ORDER}")
+        admissible = set(restriction.residues)
+        self.forbidden = [s for s in range(period) if s not in admissible]
+        self.weight, self.loop, self.rows = 4**dim, (), []
+        if k:
+            loop = LoopModel(dim, order).loop_gf()
+            self.loop = loop.coeffs
+            self.rows = _eliminate(
+                _circulant_block(loop, period, [-s % period for s in self.forbidden])
+            )
+        if 2 * restriction.size <= period:
+            for residue in restriction.residues:
+                self._keep(residue, self._solve(residue))
+
+    def _keep(self, residue: int, series: TruncatedSeries) -> TruncatedSeries:
+        check_walk_series(residue, series)
+        self.series[residue] = series
+        if len(self.series) == self.size:
+            self.loop = self.rows = None
+        return series
+
+    def _solve(self, r: int) -> TruncatedSeries:
+        """``P_r``: ``1 - sum_s W_sr`` over ``1 - 4**d t``, with ``W_sr`` on
+        class ``s - r``.  Column ``r`` of ``B_RS^T`` holds class ``s - r`` of
+        the loop series on the row of each forbidden ``s``.  A forward pass
+        through the kept factors reduces it, and back substitution adds into
+        each reduced entry and divides it once by its negated pivot.  A full
+        set needs no solve."""
+        period, forbidden, rows = self.period, self.forbidden, self.rows
+        column = [list(self.loop[(s - r) % period :: period]) for s in forbidden]
+        for i, s in enumerate(forbidden):
+            for j in range(i + 1, len(forbidden)):
+                # Classes q - s and s - r add to q - r, one power of u
+                # higher when their sum passes the period.
+                carry = (forbidden[j] - s) % period + (s - r) % period >= period
+                add_product_coeffs(column[j], rows[j][i], column[i], carry)
+        acc = [1] + [0] * (self.order - 1)
+        for i in reversed(range(len(forbidden))):
+            # -W_sr: the reduced entry plus row i times the kept -W_qr, over
+            # the negated pivot.
+            s, part = forbidden[i], column[i]
+            for m in range(i + 1, len(forbidden)):
+                q = forbidden[m]
+                carry = (s - q) % period + (q - r) % period >= period
+                add_product_coeffs(part, rows[i][m], column[m], carry)
+            column[i] = quotient_coeffs(part, rows[i][i], len(part))
+            acc[(s - r) % period :: period] = column[i]
+        return geometric_sum(acc, self.weight)
+
+    def walk_series(self, residue: int, order: int) -> TruncatedSeries:
+        """The series of an admissible residue to ``order``, at most the
+        entry's: kept, or solved from the factors and kept."""
         series = self.series.get(residue)
         if series is None:
-            series = self.factored.solve(residue)
-            check_walk_series(residue, series)
-            self.series[residue] = series
-            if len(self.series) == len(self.factored.residues):
-                self.factored = None
-        return series
+            series = self._keep(residue, self._solve(residue))
+        return series if series.order == order else TruncatedSeries(series.coeffs[:order])
 
 
 _solutions: OrderedDict = OrderedDict()
 
 
-def _solution_tuple(dim: int, restriction: PeriodicSet, order: int, residues=None) -> tuple:
-    """Solved series of ``residues``, by default every admissible residue,
-    through a bounded LRU cache of ``_Solved`` entries.
+def _solution_entry(dim: int, restriction: PeriodicSet, order: int) -> _Solved:
+    """The ``_Solved`` entry of ``(dim, restriction)`` for reads to
+    ``order``, from a bounded LRU cache.
 
     An entry keeps the highest order solved per ``(dim, restriction)`` and
     answers a lower order by truncation, which is exact because every series
@@ -471,15 +465,17 @@ def _solution_tuple(dim: int, restriction: PeriodicSet, order: int, residues=Non
     whole entry, the complement route over the forbidden residues or the
     reciprocal route over the admissible ones; the estimate counts both
     sides without enumerating them, and a tie goes to the reciprocal route.
-    The reciprocal route solves every residue at once.  The complement
-    route keeps the factored block and solves a residue the first time it
-    is asked, by one forward pass and one back substitution, with no new
-    elimination.  A set that admits no more residues than it forbids is
-    completed by its first read instead: factoring the block, about
-    ``k**3 / 3`` entry operations, is then at least a third of the ``n k**2``
-    that the residues add together, so the first read costs at most four
-    times what its own residue would, and every later read is a hit.  Every
-    series passes ``check_walk_series`` before it is kept.
+    It includes the inversion of the loop series that the reciprocal route
+    pays in dimensions 2 to 4 unless ``loops`` already holds ``1/L`` at that
+    order, so the route may depend on that cache; the coefficients do not.
+    On the complement route a caller that reads one start residue pays for
+    that residue only, and reading every residue one by one costs what one
+    all-residue solve does.  A set that admits no more residues than it
+    forbids is completed at construction instead: factoring the block,
+    about ``k**3 / 3`` entry operations, is then at least a third of the
+    ``n k**2`` that the residues add together, so the first read costs at
+    most four times what its own residue would, and every later read is a
+    hit.
     """
     # Checked before the lookup: a cached prefix would accept a negative or
     # boolean order, and 2.0 or True would find the entry of 2 or 1.
@@ -488,32 +484,18 @@ def _solution_tuple(dim: int, restriction: PeriodicSet, order: int, residues=Non
     entry = _solutions.get(key)
     if entry is None or entry.order < order:
         reciprocal, complement = _route_costs(dim, restriction, order)
-        if complement < reciprocal:
-            entry = _Solved(order, {}, _Factored(dim, restriction, order))
-            if 2 * restriction.size <= restriction.period:
-                for residue in restriction.residues:
-                    entry.walk_series(residue)
-        else:
-            solved = solve_linear_system(*build_system(dim, restriction, order))
-            for residue, series in zip(restriction.residues, solved):
-                check_walk_series(residue, series)
-            entry = _Solved(order, dict(zip(restriction.residues, solved)))
-        _solutions[key] = entry
+        entry = _solutions[key] = _Solved(dim, restriction, order, complement < reciprocal)
     _solutions.move_to_end(key)
     if len(_solutions) > SOLUTION_CACHE_SIZE:
         _solutions.popitem(last=False)
-    out = []
-    for residue in restriction.residues if residues is None else residues:
-        series = entry.walk_series(residue)
-        out.append(series if series.order == order else TruncatedSeries(series.coeffs[:order]))
-    return tuple(out)
+    return entry
 
 
 def solve_restricted(dim: int, restriction: PeriodicSet, order: int) -> RestrictedPathSolution:
     """Walk series of every admissible residue, through the cache of
-    ``_solution_tuple``; lower orders are served from the cached prefix."""
-    solved = _solution_tuple(dim, restriction, order)
-    return RestrictedPathSolution(dict(zip(restriction.residues, solved)))
+    ``_solution_entry``; lower orders are served from the cached prefix."""
+    entry = _solution_entry(dim, restriction, order)
+    return RestrictedPathSolution({r: entry.walk_series(r, order) for r in restriction.residues})
 
 
 def restricted_path_gf(
@@ -533,4 +515,4 @@ def restricted_path_gf(
         raise ValueError(
             f"start residue {start_residue} is not admissible for {restriction}"
         )
-    return _solution_tuple(dim, restriction, order, (reduced,))[0]
+    return _solution_entry(dim, restriction, order).walk_series(reduced, order)

@@ -32,7 +32,7 @@ from lattice_gf.loops import LoopModel
 from lattice_gf.oracle import count_odd_length
 from lattice_gf.periodic import PeriodicSet
 from lattice_gf.series import TruncatedSeries
-from lattice_gf.system import SeriesMatrix, _Factored, build_system, solve_restricted
+from lattice_gf.system import SeriesMatrix, _Solved, build_system, solve_restricted
 
 
 def catalan(n: int) -> int:
@@ -131,11 +131,11 @@ def solve_complement(
     dim: int, restriction: PeriodicSet, order: int
 ) -> list[TruncatedSeries]:
     """Walk series of every admissible residue on the complement route, in
-    the order of ``restriction.residues``: ``_Factored`` factors ``B_SS^T``
-    once, and each residue is one forward pass and one back substitution of
-    its own column of ``B_RS^T``."""
-    factored = _Factored(dim, restriction, order)
-    return [factored.solve(r) for r in restriction.residues]
+    the order of ``restriction.residues``: a complement-route ``_Solved``
+    entry factors ``B_SS^T`` once, and each residue is one forward pass and
+    one back substitution of its own column of ``B_RS^T``."""
+    entry = _Solved(dim, restriction, order, True)
+    return [entry.walk_series(r, order) for r in restriction.residues]
 
 
 def reduction_check(

@@ -390,7 +390,7 @@ class TestVerifyCommands:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "--k-max must be at least 1" in err
+        assert err == "error: --k-max must be positive\n"
 
 
 class TestPinnedText:

@@ -143,12 +143,16 @@ def test_readme_library_example_runs():
     assert out.getvalue() == f"{namespace['gf'].coeffs[3]}\n" == "24\n"
 
 
-RANGE_MESSAGE_TAILS = ("must be positive", "must be nonnegative")
+RANGE_MESSAGE_TAILS = (
+    "must be positive", "must be nonnegative", "must be at least", "positive integer",
+    "must be integers",
+)
 
 
 def test_range_rule_spelled_only_in_check_int():
     # errors.check_int words every "<name> must be positive|nonnegative"
-    # refusal; a second spelling of the rule drifts from the first.  It is
+    # refusal; a second spelling of the rule, such as "must be at least 1"
+    # or "must be a positive integer", drifts from the first.  It is
     # looked for anywhere in a string constant, so the constant parts of an
     # f-string such as f"{name} must be positive, got {raw!r}" count too.
     spelled = []

@@ -43,18 +43,20 @@ class TestValidation:
             PeriodicSet((), 4)
 
     def test_bad_period(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^period must be positive$"):
             PeriodicSet((0,), 0)
 
     def test_bool_refused(self):
         # bool subclasses int: PeriodicSet((False,), True) would equal and
         # hash like PeriodicSet((0,), 1) but print residues=(False,).
-        with pytest.raises(ValueError, match="^period must be a positive integer$"):
+        with pytest.raises(TypeError, match="^period must be an int, not bool$"):
             PeriodicSet((0,), True)
-        with pytest.raises(ValueError, match="^residues must be integers$"):
+        with pytest.raises(TypeError, match="^residue must be an int, not bool$"):
             PeriodicSet((False,), 1)
-        with pytest.raises(ValueError, match="^residues must be integers$"):
+        with pytest.raises(TypeError, match="^residue must be an int, not bool$"):
             PeriodicSet((0, True), 2)
+        with pytest.raises(TypeError, match="^residue must be an int, not float$"):
+            PeriodicSet((0, 1.0), 2)
 
     def test_full_set(self):
         full = PeriodicSet(range(3), 3)

@@ -326,7 +326,7 @@ class TestSolutionCache:
     @pytest.mark.parametrize("warm", [False, True])
     def test_full_set_refuses_what_the_loop_model_refuses(self, dim, order, warm):
         # A full set never builds a LoopModel, so the checks and their
-        # messages must come from _solution_tuple itself.
+        # messages must come from _solution_entry itself.
         full = PeriodicSet(range(3), 3)
         system._solutions.clear()
         if warm:
@@ -556,17 +556,17 @@ class TestRouteChoice:
             for order in sorted(orders):
                 monkeypatch.setattr(loops, "_reciprocals", {})
                 monkeypatch.setattr(system, "_solutions", OrderedDict())
-                chosen = [system._solution_tuple(dim, restriction, order)]
+                chosen = [solve_restricted(dim, restriction, order)]
                 cold = system._route_costs(dim, restriction, order)
                 reciprocal = solve_linear_system(*build_system(dim, restriction, order))
                 warm = system._route_costs(dim, restriction, order)
                 system._solutions.clear()
-                chosen.append(system._solution_tuple(dim, restriction, order))
+                chosen.append(solve_restricted(dim, restriction, order))
                 routes.add((cold[1] < cold[0], warm[1] < warm[0]))
                 want = [s.coeffs for s in reciprocal]
                 assert [s.coeffs for s in solve_complement(dim, restriction, order)] == want
                 for solved in chosen:
-                    assert [s.coeffs for s in solved] == want, (restriction, order)
+                    assert [s.coeffs for s in solved.series.values()] == want, (restriction, order)
         # Both routes are taken, and above dimension 1 the cache alone
         # switches some sets from the complement to the reciprocal route.
         assert {cold_complement for cold_complement, _ in routes} == {False, True}
@@ -672,24 +672,37 @@ class TestResiduesOnDemand:
         assert names == {"add_product_coeffs": 2, "quotient_coeffs": 2}
         assert {len(f) for name, f, *_ in calls if name == "quotient_coeffs"} <= {4, 5}
 
-    def test_first_read_completes_a_set_with_no_more_admissible_residues(self):
-        # Every set of period <= 8 on the complement route: one read
-        # completes the entry, and drops its factors, exactly when the set
-        # admits no more residues than it forbids.
-        completed = set()
+    def test_first_read_completes_a_set_with_no_more_admissible_residues(self, monkeypatch):
+        # Every set of period <= 8 on either route: one read completes the
+        # entry, and drops its factors, exactly when the set takes the
+        # reciprocal route or admits no more residues than it forbids.  A
+        # reciprocal entry holds no factors at any time, not even while
+        # its residues are kept one by one.
+        held = []
+        keep = system._Solved._keep
+
+        def recording_keep(entry, residue, series):
+            held.append((entry.loop, entry.rows))
+            return keep(entry, residue, series)
+
+        monkeypatch.setattr(system._Solved, "_keep", recording_keep)
+        seen = set()
         for period in range(1, 9):
             for mask in range(1, 2**period, 2):
                 restriction = PeriodicSet([r for r in range(period) if mask >> r & 1], period)
-                if not takes_complement(1, restriction, period + 3):
-                    continue
+                complement = takes_complement(1, restriction, period + 3)
                 system._solutions.clear()
+                held.clear()
                 restricted_path_gf(1, restriction, 0, period + 3)
                 (entry,) = system._solutions.values()
                 complete = len(entry.series) == restriction.size
-                assert complete == (entry.factored is None)
-                assert complete == (2 * restriction.size <= period or restriction.size == 1)
-                completed.add(complete)
-        assert completed == {False, True}
+                assert complete == (entry.loop is None) == (entry.rows is None)
+                assert complete == (
+                    not complement or 2 * restriction.size <= period or restriction.size == 1)
+                if not complement:
+                    assert held == [(None, None)] * restriction.size
+                seen.add((complement, complete))
+        assert seen == {(False, True), (True, False), (True, True)}
 
     def test_requery_after_a_completing_read_is_a_hit(self, monkeypatch):
         # The wide-system pattern: residue 0 of the staircase, then every
@@ -709,7 +722,7 @@ class TestResiduesOnDemand:
     def test_counted_calls_equal_the_route_count(self, monkeypatch):
         # Every set of period <= 8: the kernel calls of the complement route
         # are the entry count _route_costs charges it, and so are those of a
-        # cold _solution_tuple that takes that route.
+        # cold solve_restricted that takes that route.
         calls = count_kernels(monkeypatch)
         taken = 0
         for period in range(1, 9):
@@ -724,7 +737,7 @@ class TestResiduesOnDemand:
                     taken += 1
                     system._solutions.clear()
                     calls.clear()
-                    system._solution_tuple(1, restriction, order)
+                    solve_restricted(1, restriction, order)
                     assert len(calls) == entries, restriction
         assert taken > 100
 
