@@ -8,9 +8,9 @@ Subcommands:
   verify-hn         the one-dimensional Hajnal-Nagy identity chain
   verify-circulant  circulant relations for a chosen dimension
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 resource budget exceeded.  JSON output stores every coefficient as exact
-numerator and denominator strings; coefficients are integers, so the
+Exit codes: 0 success, 1 verification failure, 2 invalid input or a failed
+write, 3 resource budget exceeded.  JSON output stores every coefficient as
+exact numerator and denominator strings; coefficients are integers, so the
 denominator is always "1".
 """
 
@@ -70,13 +70,10 @@ def _emit(document: dict, header, rows, args) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.out == "-":
-        sys.stdout.write(text)
+        print(text, end="", flush=True)
         return
-    try:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise ValueError(f"cannot write {args.out!r}: {exc.strerror}") from None
+    with open(args.out, "w") as handle:
+        handle.write(text)
 
 
 # -- argument handling --------------------------------------------------------
@@ -90,13 +87,11 @@ def _parse_residues(text: str) -> tuple[int, ...]:
 
 
 def _parse_multisection(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("--multisection expects two integers 'q,r'")
     try:
-        return int(parts[0]), int(parts[1])
+        q, r = map(int, text.split(","))
     except ValueError:
         raise ValueError("--multisection expects two integers 'q,r'") from None
+    return q, r
 
 
 def _restriction_from(args) -> PeriodicSet:
@@ -317,13 +312,23 @@ def main(argv=None) -> int:
     try:
         # The one --order check; every subcommand takes --order.
         check_int("--order", args.order, 1)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        target = getattr(args, "out", "-")
+        print(f"error: cannot write {target!r}: {exc.strerror}", file=sys.stderr)
+        if target == "-":
+            # Shutdown flushes stdout again; its buffer goes to the null device.
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 2
 
 
 def console_main() -> None:

@@ -20,14 +20,14 @@ elimination without pivot search solves it exactly.
 Entry ``(r, q)`` is supported on the single residue class ``shift(r, q)``
 mod the period, so it is ``t**c`` times a series in ``u = t**period``.  A
 ``SeriesMatrix`` records such a grading as ``(period, labels)``: entry
-``(i, j)`` lives on exponents congruent to ``labels[j] - labels[i]``.
-Elimination keeps the grading, so the one kernel ``_eliminate``, shared by
-``solve_linear_system``, ``series_determinant`` and ``_Solved``, stores
-each entry as its ``u``-coefficients only, about ``order / period`` of
-them.  Pivots are never inverted: each elimination factor and each step of
-back substitution is one exact quotient by a pivot,
-``series.quotient_coeffs``, which costs what an inverse would; a dense
-right-hand side divides by the pivot placed back in ``t``.  The kernel
+``(i, j)`` lives on the class ``labels[j] - labels[i]``, which the matrix
+computes once.  Elimination keeps the grading, so the one kernel
+``_eliminate``, shared by ``solve_linear_system``, ``series_determinant``
+and ``_Solved``, stores each entry as its ``u``-coefficients only, about
+``order / period`` of them.  Pivots are never inverted: each elimination
+factor and each step of back substitution is one exact quotient by a
+pivot, ``series.quotient_coeffs``, which costs what an inverse would; a
+dense right-hand side divides by the pivot placed back in ``t``.  The kernel
 keeps every pivot negated on the diagonal and every factor negated in the
 slot below the diagonal that it clears, so a right-hand side is reduced
 afterwards by a forward pass through the kept factors, and every update
@@ -96,13 +96,13 @@ class SeriesMatrix:
     """A square matrix of TruncatedSeries entries sharing one order.
 
     ``grading = (period, labels)`` labels every column, and row ``i`` like
-    column ``i``: entry ``(i, j)`` is supported on exponents congruent to
-    ``labels[j] - labels[i]`` mod ``period``.  The default is the trivial
-    grading ``(1, (0, ..., 0))``, which every matrix has; a declared grading
-    is checked once per distinct series and class.
+    column ``i``: entry ``(i, j)`` is supported on the exponents in class
+    ``classes[i][j] = (labels[j] - labels[i]) % period``.  The default is
+    the trivial grading ``(1, (0, ..., 0))``, which every matrix has; a
+    declared grading is checked once per distinct series and class.
     """
 
-    __slots__ = ("rows", "grading")
+    __slots__ = ("rows", "grading", "classes")
 
     def __init__(self, rows, grading=None):
         grid = tuple(tuple(row) for row in rows)
@@ -121,10 +121,10 @@ class SeriesMatrix:
         # Builders reuse one series object across many entries, so each
         # distinct (series, class) pair is checked once.
         order = grid[0][0].order
+        classes = tuple(tuple((lb - la) % period for lb in labels) for la in labels)
         checked = set()
         for i, row in enumerate(grid):
-            for j, entry in enumerate(row):
-                cls = (labels[j] - labels[i]) % period
+            for j, (entry, cls) in enumerate(zip(row, classes[i])):
                 key = (id(entry), cls)
                 if key in checked:
                     continue
@@ -136,8 +136,7 @@ class SeriesMatrix:
                         f" {cls} mod {period}"
                     )
                 checked.add(key)
-        self.rows = grid
-        self.grading = (period, labels)
+        self.rows, self.grading, self.classes = grid, (period, labels), classes
 
     @property
     def n(self) -> int:
@@ -162,12 +161,14 @@ def _eliminate(matrix: SeriesMatrix) -> list:
     """Forward elimination over the series ring, no pivot search, keeping
     the factors.
 
-    Entry ``(a, b)`` is kept as its ``u``-coefficients, ``coeffs[c::period]``
-    with ``c = (labels[b] - labels[a]) % period``; every update stays inside
-    its class.  Each factor is an exact quotient by the pivot, so no pivot
-    is inverted.  The pivot is stored negated on the diagonal and the
-    factor negated in the slot it clears, so every update here, in a later
-    forward pass and in back substitution adds a product in place.
+    Entry ``(i, j)`` is kept as its ``u``-coefficients, ``coeffs[c::period]``
+    with ``c = matrix.classes[i][j]``.  A product of classes ``a, b < period``
+    lies in class ``c = (a + b) % period``; ``a + b`` reaches the period,
+    carrying one power of ``u``, exactly when ``a > c``: the one carry rule.
+    Each factor is an exact quotient by the pivot, so no pivot is inverted.
+    The pivot is stored negated on the diagonal and the factor negated in
+    the slot it clears, so every update here, in a later forward pass and in
+    back substitution adds a product in place.
 
     Returns the rows of the factored matrix as coefficient lists in ``u``:
     the reduced upper triangle with the negated pivots on its diagonal, and
@@ -176,8 +177,7 @@ def _eliminate(matrix: SeriesMatrix) -> list:
     The pivots, and so the determinant, lie in class 0.  Every pivot must
     be a unit of ``Z[[u]]``, constant term +-1.
     """
-    period, labels = matrix.grading
-    classes = [[(lb - la) % period for lb in labels] for la in labels]
+    period, classes = matrix.grading[0], matrix.classes
     rows = [
         [list(entry.coeffs[c::period]) for entry, c in zip(row, row_classes)]
         for row, row_classes in zip(matrix.rows, classes)
@@ -193,13 +193,11 @@ def _eliminate(matrix: SeriesMatrix) -> list:
         row_i = rows[i]
         row_i[i] = negated = [-x for x in pivot]
         for j in range(i + 1, n):
-            c = classes[j][i]
-            row_j = rows[j]
+            row_j, classes_j = rows[j], classes[j]
             row_j[i] = factor = quotient_coeffs(row_j[i], negated, len(row_j[i]))
             for m in range(i + 1, n):
-                # t**c f times t**b g is t**((c + b) % period) times
-                # u**carry f g, where the carry is 1 when c + b >= period.
-                add_product_coeffs(row_j[m], factor, row_i[m], c + classes[i][m] >= period)
+                # Classes (j, i) and (i, m) add to class (j, m).
+                add_product_coeffs(row_j[m], factor, row_i[m], classes_j[i] > classes_j[m])
     return rows
 
 
@@ -266,18 +264,18 @@ def solve_linear_system(
     if any(series.order != order for series in rhs):
         raise ValueError("right-hand side order does not match the matrix")
     rows = _eliminate(matrix)
-    period, labels = matrix.grading
+    period, classes = matrix.grading[0], matrix.classes
     # The negated right-hand side, so that back substitution divides by the
     # negated pivots as they stand and every product adds.
     vec = [[-x for x in series.coeffs] for series in rhs]
     for i in range(n):
         for j in range(i + 1, n):
-            _add_dense_product(vec[j], (labels[i] - labels[j]) % period, rows[j][i], vec[i], period)
+            _add_dense_product(vec[j], classes[j][i], rows[j][i], vec[i], period)
     for i in reversed(range(n)):
         # (y_i - sum_m U_im x_m) / U_ii as -y_i + sum_m U_im x_m over the
         # negated pivot, a series in u = t**period placed back in t.
         for m in range(i + 1, n):
-            _add_dense_product(vec[i], (labels[m] - labels[i]) % period, rows[i][m], vec[m], period)
+            _add_dense_product(vec[i], classes[i][m], rows[i][m], vec[m], period)
         pivot = [0] * order
         pivot[::period] = rows[i][i]
         vec[i] = quotient_coeffs(vec[i], pivot, order)
@@ -419,27 +417,23 @@ class _Solved:
         class ``s - r``.  Column ``r`` of ``B_RS^T`` holds class ``s - r`` of
         the loop series on the row of each forbidden ``s``.  A forward pass
         through the kept factors reduces it, and back substitution adds into
-        each reduced entry and divides it once by its negated pivot.  A full
-        set needs no solve."""
-        period, forbidden, rows = self.period, self.forbidden, self.rows
-        column = [list(self.loop[(s - r) % period :: period]) for s in forbidden]
-        for i, s in enumerate(forbidden):
-            for j in range(i + 1, len(forbidden)):
-                # Classes q - s and s - r add to q - r, one power of u
-                # higher when their sum passes the period.
-                carry = (forbidden[j] - s) % period + (s - r) % period >= period
-                add_product_coeffs(column[j], rows[j][i], column[i], carry)
+        each reduced entry and divides it once by its negated pivot, carrying
+        by the rule of ``_eliminate``.  A full set needs no solve."""
+        period, rows, k = self.period, self.rows, len(self.forbidden)
+        classes = [(s - r) % period for s in self.forbidden]
+        column = [list(self.loop[c::period]) for c in classes]
+        for i in range(k):
+            for j in range(i + 1, k):
+                # Classes q - s and s - r add to q - r.
+                add_product_coeffs(column[j], rows[j][i], column[i], classes[i] > classes[j])
         acc = [1] + [0] * (self.order - 1)
-        for i in reversed(range(len(forbidden))):
+        for i in reversed(range(k)):
             # -W_sr: the reduced entry plus row i times the kept -W_qr, over
             # the negated pivot.
-            s, part = forbidden[i], column[i]
-            for m in range(i + 1, len(forbidden)):
-                q = forbidden[m]
-                carry = (s - q) % period + (q - r) % period >= period
-                add_product_coeffs(part, rows[i][m], column[m], carry)
-            column[i] = quotient_coeffs(part, rows[i][i], len(part))
-            acc[(s - r) % period :: period] = column[i]
+            for m in range(i + 1, k):
+                add_product_coeffs(column[i], rows[i][m], column[m], classes[m] > classes[i])
+            column[i] = quotient_coeffs(column[i], rows[i][i], len(column[i]))
+            acc[classes[i] :: period] = column[i]
         return geometric_sum(acc, self.weight)
 
     def walk_series(self, residue: int, order: int) -> TruncatedSeries:

@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import payload_to_series
 from lattice_gf import cli, loops
@@ -530,6 +535,118 @@ class TestOutFile:
         target = tmp_path / "document"
         assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", err)
         assert target.read_bytes() == out.encode()
+
+
+class TestFullStdout:
+    # Buffered, the write to a full device fails when stdout is flushed;
+    # unbuffered, it fails in the write itself.
+    COMMANDS = {
+        **TestUnwritableOut.COMMANDS,
+        "verify-hn": ("verify-hn", "--k-max", "1", "--order", "4"),
+        "verify-circulant": ("verify-circulant", "--dim", "1", "--k-max", "1",
+                             "--order", "4"),
+    }
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_exit_2_with_one_error_line(self, command, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "lattice_gf", *self.COMMANDS[command]],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: cannot write '-': ")
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+        assert "Traceback" not in result.stderr
+        assert "Exception ignored" not in result.stderr
+
+
+def _flag(good, bad):
+    """A value from the pool ``good``, or one time in eight from ``bad``;
+    None leaves the flag out."""
+    return st.tuples(st.integers(1, 8), st.sampled_from(good), st.sampled_from(bad)).map(
+        lambda drawn: drawn[2] if drawn[0] == 8 else drawn[1])
+
+
+def _argv_pools():
+    """Argument lists for every subcommand.  Each flag is drawn from a small
+    pool of valid values or, now and then, of invalid ones, so that a run
+    meets zero, one or several faults."""
+    residues, bad_residues = ["0", "0,1", "0,2", "0,1,3", "0,2,3,5"], [
+        None, "", ",", "0,", "a", "1.5", "0;1", "1", "1,2", "0,0", "0,9", "-1,0"]
+    dim = _flag([1, 2, 3, 4], [None, -1, 0, 5])
+    order = list(range(1, 13))
+    problem = [
+        ("--dim", dim),
+        ("--residues", _flag(residues, bad_residues)),
+        ("--period", _flag(list(range(1, 9)), [None, -1, 0])),
+        ("--order", _flag(order, [None, -1, 0])),
+        ("--format", _flag([None, "json", "csv"], ["xml"])),
+    ]
+    verify = [
+        ("--k-max", _flag([None, 1, 2, 3, 4], [-1, 0])),
+        ("--order", _flag([None, *order], [-1, 0])),
+    ]
+    flags = {
+        "gf": problem + [
+            ("--start-residue", _flag([None, 0], [-2, -1, *range(1, 10)])),
+            ("--multisection", _flag([None, "2,0", "3,1", "1,0"], ["0,0", "2,-1", "2", "a,b"])),
+        ],
+        # Four of the five kinds take no --residues or --period.
+        "oracle": problem[:1] + [
+            ("--residues", _flag([None, *residues], bad_residues)),
+            ("--period", _flag([None, *range(1, 9)], [-1, 0])),
+            *problem[3:],
+            ("--kind", _flag([None, *cli._ORACLE_KINDS], ["bogus"])),
+        ],
+        "compare": problem,
+        "verify-hn": verify,
+        "verify-circulant": [("--dim", dim), *verify],
+    }
+
+    @st.composite
+    def argv(draw):
+        command = draw(st.sampled_from(sorted(flags)))
+        args = [command]
+        for flag, values in flags[command]:
+            value = draw(values)
+            if value is not None:
+                args += [flag, str(value)]
+        return args
+
+    return argv()
+
+
+CSV_HEADERS = {
+    "gf": "k,length,numerator,denominator\r\n",
+    "oracle": "k,length,numerator,denominator\r\n",
+    "compare": "k,length,gf_numerator,gf_denominator,oracle,equal\r\n",
+}
+
+
+class TestAnyArguments:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(argv=_argv_pools())
+    def test_exit_code_and_output(self, argv):
+        # Aim 3: whatever the arguments, an exit code of the README and no
+        # traceback; a document on success.
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            os.environ.pop(cli.MAX_CELLS_ENV, None)
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
+        command, text = argv[0], out.getvalue()
+        if code == 0 and command in CSV_HEADERS:
+            if "csv" in argv:
+                assert text.startswith(CSV_HEADERS[command]), argv
+            else:
+                json.loads(text)
 
 
 class TestModuleEntryPoint:

@@ -133,6 +133,15 @@ class TestSystemAssembly:
         matrix, _ = build_system(1, restriction, 12)
         assert matrix.grading == (5, (0, 2, 3))
         assert SeriesMatrix(matrix.rows).grading == (1, (0, 0, 0))
+        assert SeriesMatrix(matrix.rows).classes == ((0, 0, 0),) * 3
+        period, labels = matrix.grading
+        assert matrix.classes == tuple(
+            tuple((lb - la) % period for lb in labels) for la in labels)
+        # Labels outside [0, period) and out of order.
+        order, labels = 6, (0, 5, -2)
+        rows = [[TruncatedSeries.monomial(1, (lb - la) % 3, order) for lb in labels]
+                for la in labels]
+        assert SeriesMatrix(rows, (3, labels)).classes == ((0, 2, 1), (1, 0, 2), (2, 1, 0))
 
     def test_off_class_entry_rejected(self):
         # Entry (0, 1) of a (2, (0, 1)) grading must live on odd exponents.
