@@ -27,7 +27,6 @@ from .periodic import PeriodicSet, hajnal_nagy_set
 from .series import TruncatedSeries, inv_sqrt_one_minus_monomial
 from .system import (
     RestrictedPathSolution,
-    SeriesMatrix,
     build_system,
     restricted_path_gf,
     solve_linear_system,
@@ -42,7 +41,6 @@ __all__ = [
     "PeriodicSet",
     "ResourceLimitError",
     "RestrictedPathSolution",
-    "SeriesMatrix",
     "TruncatedSeries",
     "build_system",
     "column_substitution_check",

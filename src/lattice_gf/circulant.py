@@ -11,12 +11,13 @@ series as a ratio of quarter determinants, and in one dimension the full
 determinant collapses to ``sqrt(1 - (4t)**(2k))``.
 
 Entry ``(i, j)`` of these circulants is the ``(n, j - i)`` multisection of a
-series.  Every circulant and quarter here comes from the builder of the
-restriction system, ``system._circulant_block``: rows and columns
-``0..n-1`` give the full circulant, graded ``(n, (0, ..., n-1))`` as a
-``SeriesMatrix``, and rows and columns ``0..k-1`` of period ``2k`` give the
-upper-left quarter directly.  ``system.series_determinant`` runs the
-elimination kernel on either, keeping each entry as a series in ``t**n``.
+series.  Every circulant and quarter here is a graded block,
+``system.SeriesMatrix``, built by the builder of the restriction system,
+``system._circulant_block``: rows and columns ``0..n-1`` of period ``n``
+give the full circulant, and rows and columns ``0..k-1`` of period ``2k``
+give the upper-left quarter directly.  Each entry is kept as its
+coefficients in ``u = t**n``, and ``system.series_determinant`` runs the
+elimination kernel on either.
 The row relation needs no matrix: it reads the ``n`` multisections of the
 two series, which are the first rows of the two circulants.  Nor does the
 full determinant: ``_circulant_norm`` takes it from an exact integer
@@ -77,8 +78,8 @@ class _Staircase(dict):
         model = LoopModel(dim, order)
         restriction = _circulant_block(model.reciprocal_loop_gf(), 2 * k, range(k))
         escaping = _circulant_block(model.escaping_gf(), 2 * k, range(k))
-        rows = [(e[0], *r[1:]) for r, e in zip(restriction.rows, escaping.rows)]
-        substituted = SeriesMatrix(rows, restriction.grading)
+        rows = tuple((e[0], *r[1:]) for r, e in zip(restriction.rows, escaping.rows))
+        substituted = SeriesMatrix(rows, restriction.classes, 2 * k, order)
         self.quarters = dict(restriction=restriction, escaping=escaping, substituted=substituted)
 
     def __missing__(self, name: str) -> TruncatedSeries:
@@ -111,13 +112,14 @@ def row_relation_check(dim: int, n: int, order: int) -> bool:
 
 
 def quarter(matrix: SeriesMatrix) -> SeriesMatrix:
-    """Upper-left quarter of an even-sized matrix, graded by the labels of
-    its first half."""
+    """Upper-left quarter of an even-sized block: the rows, columns and
+    classes of its first half, sharing the block's entries."""
     if matrix.n % 2 != 0:
         raise ValueError("quarter split needs an even matrix size")
     k = matrix.n // 2
-    period, labels = matrix.grading
-    return SeriesMatrix([row[:k] for row in matrix.rows[:k]], (period, labels[:k]))
+    rows = tuple(row[:k] for row in matrix.rows[:k])
+    classes = tuple(row[:k] for row in matrix.classes[:k])
+    return SeriesMatrix(rows, classes, matrix.period, matrix.order)
 
 
 def column_substitution_check(dim: int, k: int, order: int) -> bool:

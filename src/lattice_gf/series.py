@@ -84,13 +84,6 @@ def quotient_coeffs(f, g, size: int) -> list:
     return out
 
 
-def _check_section(q: int, r: int) -> None:
-    check_int("multisection modulus", q, 1)
-    check_int("multisection residue", r)
-    if not 0 <= r < q:
-        raise ValueError(f"multisection residue {r} outside [0, {q})")
-
-
 class TruncatedSeries:
     """A power series known exactly up to, but not including, ``t**order``."""
 
@@ -184,20 +177,13 @@ class TruncatedSeries:
         The result stays full length, so sums of the q multisections rebuild
         the original series coefficient for coefficient.
         """
-        _check_section(q, r)
+        check_int("multisection modulus", q, 1)
+        check_int("multisection residue", r)
+        if not 0 <= r < q:
+            raise ValueError(f"multisection residue {r} outside [0, {q})")
         out = [0] * self.order
         out[r::q] = self.coeffs[r::q]
         return TruncatedSeries(out)
-
-    def is_multisection(self, q: int, r: int) -> bool:
-        """Whether every nonzero coefficient sits at an index congruent to r
-        mod q, that is, whether the series equals its (q, r)-multisection."""
-        _check_section(q, r)
-        # Every coefficient outside the class is zero: the zeros outside the
-        # class are all the entries outside it.
-        cs = self.coeffs
-        section = cs[r::q]
-        return cs.count(0) - section.count(0) == len(cs) - len(section)
 
     # -- comparisons ----------------------------------------------------------
 

@@ -18,13 +18,16 @@ the diagonal included.  At ``t = 0`` the matrix is the identity, so Gaussian
 elimination without pivot search solves it exactly.
 
 Entry ``(r, q)`` is supported on the single residue class ``shift(r, q)``
-mod the period, so it is ``t**c`` times a series in ``u = t**period``.  A
-``SeriesMatrix`` records such a grading as ``(period, labels)``: entry
-``(i, j)`` lives on the class ``labels[j] - labels[i]``, which the matrix
-computes once.  Elimination keeps the grading, so the one kernel
-``_eliminate``, shared by ``solve_linear_system``, ``series_determinant``
-and ``_Solved``, stores each entry as its ``u``-coefficients only, about
-``order / period`` of them.  Pivots are never inverted: each elimination
+mod the period, so it is ``t**c`` times a series in ``u = t**period``.  The
+matrix is therefore a graded block, a ``SeriesMatrix``: rows and columns
+labelled by residues, one class table ``classes[i][j] = (labels[j] -
+labels[i]) % period``, and each entry stored as its ``u``-coefficients
+only, about ``order / period`` of them.  ``_circulant_block`` builds it by
+slicing the series once per class, so the grading holds by construction
+and is never checked at run time.  Elimination keeps the grading, so the
+one kernel ``_eliminate``, shared by ``solve_linear_system``,
+``series_determinant`` and ``_Solved``, works on ``u``-coefficients
+throughout.  Pivots are never inverted: each elimination
 factor and each step of back substitution is one exact quotient by a
 pivot, ``series.quotient_coeffs``, which costs what an inverse would; a
 dense right-hand side divides by the pivot placed back in ``t``.  The kernel
@@ -32,8 +35,6 @@ keeps every pivot negated on the diagonal and every factor negated in the
 slot below the diagonal that it clears, so a right-hand side is reduced
 afterwards by a forward pass through the kept factors, and every update
 adds a product into the entry in place with ``series.add_product_coeffs``.
-A matrix without structure has the trivial grading ``(1, (0, ..., 0))``,
-under which the same kernel is plain dense elimination.
 
 The same series also follow from the forbidden residues ``S``, through the
 loop series ``L`` itself.  Over all residues write ``C(f)`` for the matrix
@@ -93,58 +94,24 @@ BIG_LENGTH = 200
 
 
 class SeriesMatrix:
-    """A square matrix of TruncatedSeries entries sharing one order.
-
-    ``grading = (period, labels)`` labels every column, and row ``i`` like
-    column ``i``: entry ``(i, j)`` is supported on the exponents in class
-    ``classes[i][j] = (labels[j] - labels[i]) % period``.  The default is
-    the trivial grading ``(1, (0, ..., 0))``, which every matrix has; a
-    declared grading is checked once per distinct series and class.
+    """A graded square block: rows and columns carry labels mod ``period``,
+    and entry ``(i, j)`` is ``t**c`` times a series in ``u = t**period``,
+    ``c = classes[i][j] = (labels[j] - labels[i]) % period``, the one class
+    table.  ``rows[i][j]`` is the tuple of its ``u``-coefficients below
+    ``t**order``, ``coeffs[c::period]`` of the entry in ``t``.  Only
+    ``_circulant_block`` builds one from a series, so every entry lies in
+    its class by construction; ``circulant.quarter`` and the substituted
+    quarter of a staircase record reuse its tuples.
     """
 
-    __slots__ = ("rows", "grading", "classes")
+    __slots__ = ("rows", "classes", "period", "order")
 
-    def __init__(self, rows, grading=None):
-        grid = tuple(tuple(row) for row in rows)
-        if not grid:
-            raise ValueError("matrix needs at least one row")
-        width = len(grid)
-        if any(len(row) != width for row in grid):
-            raise ValueError("matrix must be square")
-        period, labels = (1, (0,) * width) if grading is None else grading
-        check_int("grading period", period, 1)
-        labels = tuple(labels)
-        for label in labels:
-            check_int("grading label", label)
-        if len(labels) != width:
-            raise ValueError("grading needs one label per column")
-        # Builders reuse one series object across many entries, so each
-        # distinct (series, class) pair is checked once.
-        order = grid[0][0].order
-        classes = tuple(tuple((lb - la) % period for lb in labels) for la in labels)
-        checked = set()
-        for i, row in enumerate(grid):
-            for j, (entry, cls) in enumerate(zip(row, classes[i])):
-                key = (id(entry), cls)
-                if key in checked:
-                    continue
-                if entry.order != order:
-                    raise ValueError("entries must share one truncation order")
-                if not entry.is_multisection(period, cls):
-                    raise ValueError(
-                        f"entry ({i}, {j}) has a coefficient outside its class"
-                        f" {cls} mod {period}"
-                    )
-                checked.add(key)
-        self.rows, self.grading, self.classes = grid, (period, labels), classes
+    def __init__(self, rows: tuple, classes: tuple, period: int, order: int):
+        self.rows, self.classes, self.period, self.order = rows, classes, period, order
 
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @property
-    def order(self) -> int:
-        return self.rows[0][0].order
 
 
 def _add_dense_product(out: list, shift: int, f, dense: list, period: int) -> None:
@@ -161,9 +128,12 @@ def _eliminate(matrix: SeriesMatrix) -> list:
     """Forward elimination over the series ring, no pivot search, keeping
     the factors.
 
-    Entry ``(i, j)`` is kept as its ``u``-coefficients, ``coeffs[c::period]``
-    with ``c = matrix.classes[i][j]``.  A product of classes ``a, b < period``
-    lies in class ``c = (a + b) % period``; ``a + b`` reaches the period,
+    Entry ``(i, j)`` lies in class ``matrix.classes[i][j]``.  Each entry is
+    copied into a fresh list of its ``u``-coefficients and the matrix is
+    never changed, because blocks share their tuples: a quarter with its
+    circulant, and the substituted quarter of a staircase record with the
+    other two.  A product of classes ``a, b < period`` lies in class
+    ``c = (a + b) % period``; ``a + b`` reaches the period,
     carrying one power of ``u``, exactly when ``a > c``: the one carry rule.
     Each factor is an exact quotient by the pivot, so no pivot is inverted.
     The pivot is stored negated on the diagonal and the factor negated in
@@ -177,11 +147,8 @@ def _eliminate(matrix: SeriesMatrix) -> list:
     The pivots, and so the determinant, lie in class 0.  Every pivot must
     be a unit of ``Z[[u]]``, constant term +-1.
     """
-    period, classes = matrix.grading[0], matrix.classes
-    rows = [
-        [list(entry.coeffs[c::period]) for entry, c in zip(row, row_classes)]
-        for row, row_classes in zip(matrix.rows, classes)
-    ]
+    classes = matrix.classes
+    rows = [[list(entry) for entry in row] for row in matrix.rows]
     n = matrix.n
     for i in range(n):
         pivot = rows[i][i]
@@ -206,28 +173,28 @@ def series_determinant(matrix: SeriesMatrix) -> TruncatedSeries:
 
     The determinant is the product of the pivots, which ``_eliminate``
     keeps negated on the diagonal: an odd size negates that product once.
-    The pivots lie in class 0 of the matrix grading, so the product is
-    taken in ``u = t**period`` and expanded back to ``t``.
+    The pivots lie in class 0, so the product is taken in ``u =
+    t**period`` and expanded back to ``t``.
     """
     rows = _eliminate(matrix)
     det = TruncatedSeries(rows[0][0])
     for i in range(1, matrix.n):
         det = det * TruncatedSeries(rows[i][i])
     coeffs = [0] * matrix.order
-    coeffs[:: matrix.grading[0]] = [-x for x in det.coeffs] if matrix.n % 2 else det.coeffs
+    coeffs[:: matrix.period] = [-x for x in det.coeffs] if matrix.n % 2 else det.coeffs
     return TruncatedSeries(coeffs)
 
 
 def _circulant_block(series: TruncatedSeries, period: int, labels) -> SeriesMatrix:
     """Rows and columns ``labels`` of the period circulant of ``series``:
-    entry ``(a, b)`` is the ``shift(a, b)`` multisection, graded
-    ``(period, labels)``, and each distinct class is built once."""
+    entry ``(a, b)`` is the ``shift(a, b)`` multisection, kept as its
+    ``u``-coefficients.  Each distinct class is sliced once, so the entries
+    of one class share one tuple."""
     check_int("circulant size", period, 1)
-    labels = tuple(labels)
-    shifts = [[(b - a) % period for b in labels] for a in labels]
-    pieces = {c: series.multisection(period, c) for c in set().union(*shifts)}
-    rows = [[pieces[c] for c in row] for row in shifts]
-    return SeriesMatrix(rows, (period, labels))
+    classes = tuple(tuple((b - a) % period for b in labels) for a in labels)
+    pieces = {c: series.coeffs[c::period] for c in set().union(*classes)}
+    rows = tuple(tuple(pieces[c] for c in row) for row in classes)
+    return SeriesMatrix(rows, classes, period, series.order)
 
 
 def build_system(dim: int, restriction: PeriodicSet, order: int):
@@ -264,7 +231,7 @@ def solve_linear_system(
     if any(series.order != order for series in rhs):
         raise ValueError("right-hand side order does not match the matrix")
     rows = _eliminate(matrix)
-    period, classes = matrix.grading[0], matrix.classes
+    period, classes = matrix.period, matrix.classes
     # The negated right-hand side, so that back substitution divides by the
     # negated pivots as they stand and every product adds.
     vec = [[-x for x in series.coeffs] for series in rhs]

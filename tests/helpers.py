@@ -4,9 +4,13 @@ Everything here is computed by a different route than the library code it
 checks: closed-form binomials, the binomial series for square roots, and a
 step-by-step polygon walk for cyclic distances, which checks
 ``shift_distance``, the range-checked ``(target - start) % period`` that the
-system tests index multisections with.  The matrix helpers
-build identity matrices, matrix products and matrix-vector products entry by
-entry, ``leibniz_determinant`` sums signed products over permutations,
+system tests index multisections with.  ``graded_block`` is the reference
+for the solver's graded block: it checks with ``is_multisection`` that
+every entry of a matrix of series lies in its class and then slices it,
+and ``entry_series`` turns a block back into series.  The matrix helpers
+work on square lists of series: they build identity matrices, matrix
+products and matrix-vector products entry by entry,
+``leibniz_determinant`` sums signed products over permutations,
 ``odd_length_count`` reads one value off an oracle table, and
 ``payload_to_series`` reads back the exact coefficients of a CLI document.
 ``unfolded_counts`` is the reference for the folded oracle: the same dynamic
@@ -78,51 +82,102 @@ def shift_distance(start: int, target: int, period: int) -> int:
     return (target - start) % period
 
 
-def identity_matrix(n: int, order: int) -> SeriesMatrix:
+def is_multisection(series: TruncatedSeries, q: int, r: int) -> bool:
+    """Whether every nonzero coefficient of ``series`` sits at an index
+    congruent to ``r`` mod ``q``."""
+    return all(c == 0 for index, c in enumerate(series.coeffs) if index % q != r)
+
+
+def graded_block(series_rows, grading=None) -> SeriesMatrix:
+    """The graded block of a square matrix of series of one order, checked:
+    ``grading = (period, labels)``, by default the trivial ``(1, (0, ...,
+    0))``, puts entry ``(i, j)`` in class ``(labels[j] - labels[i]) %
+    period``, and every entry must lie in its class.  The reference for
+    ``system._circulant_block``, which slices the classes without a check."""
+    rows = [list(row) for row in series_rows]
+    n = len(rows)
+    if not n or any(len(row) != n for row in rows):
+        raise ValueError("a block is a nonempty square")
+    period, labels = (1, (0,) * n) if grading is None else grading
+    if len(labels) != n:
+        raise ValueError("a grading needs one label per column")
+    order = rows[0][0].order
+    classes = tuple(tuple((b - a) % period for b in labels) for a in labels)
+    for i, row in enumerate(rows):
+        for j, (entry, c) in enumerate(zip(row, classes[i])):
+            if entry.order != order:
+                raise ValueError("entries must share one truncation order")
+            if not is_multisection(entry, period, c):
+                raise ValueError(
+                    f"entry ({i}, {j}) has a coefficient outside its class {c} mod {period}")
+    sliced = tuple(
+        tuple(entry.coeffs[c::period] for entry, c in zip(row, row_classes))
+        for row, row_classes in zip(rows, classes)
+    )
+    return SeriesMatrix(sliced, classes, period, order)
+
+
+def entry_series(block: SeriesMatrix) -> list[list[TruncatedSeries]]:
+    """The entries of a graded block as series in ``t``, row by row."""
+    out = []
+    for row, row_classes in zip(block.rows, block.classes):
+        series_row = []
+        for entry, c in zip(row, row_classes):
+            coeffs = [0] * block.order
+            coeffs[c :: block.period] = entry
+            series_row.append(TruncatedSeries(coeffs))
+        out.append(series_row)
+    return out
+
+
+def identity_matrix(n: int, order: int) -> list[list[TruncatedSeries]]:
     one = TruncatedSeries.one(order)
     zero = TruncatedSeries([0] * order)
-    return SeriesMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def matmul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    """Matrix product over the series ring, by the schoolbook formula."""
-    if a.n != b.n or a.order != b.order:
+def matmul(a, b) -> list[list[TruncatedSeries]]:
+    """Product of two square matrices of series, by the schoolbook formula."""
+    n, order = len(a), a[0][0].order
+    if len(b) != n or b[0][0].order != order:
         raise ValueError("matrix sizes or orders do not match")
     rows = []
-    for i in range(a.n):
+    for i in range(n):
         row = []
-        for j in range(a.n):
-            acc = TruncatedSeries([0] * a.order)
-            for m in range(a.n):
-                acc = acc + a.rows[i][m] * b.rows[m][j]
+        for j in range(n):
+            acc = TruncatedSeries([0] * order)
+            for m in range(n):
+                acc = acc + a[i][m] * b[m][j]
             row.append(acc)
         rows.append(row)
-    return SeriesMatrix(rows)
+    return rows
 
 
-def mul_vec(matrix: SeriesMatrix, vec) -> list[TruncatedSeries]:
-    """Matrix times a vector of series, by the schoolbook formula."""
-    if len(vec) != matrix.n:
+def mul_vec(matrix, vec) -> list[TruncatedSeries]:
+    """A square matrix of series times a vector of series, by the
+    schoolbook formula."""
+    if len(vec) != len(matrix):
         raise ValueError("vector length does not match the matrix size")
     out = []
-    for row in matrix.rows:
-        acc = TruncatedSeries([0] * matrix.order)
+    for row in matrix:
+        acc = TruncatedSeries([0] * row[0].order)
         for entry, x in zip(row, vec):
             acc = acc + entry * x
         out.append(acc)
     return out
 
 
-def leibniz_determinant(matrix: SeriesMatrix) -> TruncatedSeries:
-    """Determinant as the sum over permutations of the signed products of
-    entries: no elimination, no pivot and no sign convention to undo."""
-    n, order = matrix.n, matrix.order
+def leibniz_determinant(matrix) -> TruncatedSeries:
+    """Determinant of a square matrix of series as the sum over
+    permutations of the signed products of entries: no elimination, no
+    pivot and no sign convention to undo."""
+    n, order = len(matrix), matrix[0][0].order
     total = TruncatedSeries([0] * order)
     for perm in permutations(range(n)):
         inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
         term = TruncatedSeries.one(order)
         for i, j in enumerate(perm):
-            term = term * matrix.rows[i][j]
+            term = term * matrix[i][j]
         total = total - term if inversions % 2 else total + term
     return total
 
@@ -167,7 +222,7 @@ def reduction_check(
         for r, l in zip(restriction.residues, slots)
     ]
     rhs = [series.multisection(period, l) for series, l in zip(escaping_rhs, slots)]
-    return mul_vec(matrix, vec) == rhs
+    return mul_vec(entry_series(matrix), vec) == rhs
 
 
 def period_two_closed_form(dim: int, order: int) -> TruncatedSeries:

@@ -1,7 +1,7 @@
 """Tests for circulant matrices of multisections and the determinant chain."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -20,9 +20,16 @@ from lattice_gf.circulant import (
 from lattice_gf.loops import LoopModel, geometric_sum
 from lattice_gf.periodic import PeriodicSet
 from lattice_gf.series import TruncatedSeries
-from lattice_gf.system import SeriesMatrix, build_system
+from lattice_gf.system import build_system
 
-from helpers import identity_matrix, leibniz_determinant, matmul, sqrt_one_minus_4t
+from helpers import (
+    entry_series,
+    graded_block,
+    identity_matrix,
+    leibniz_determinant,
+    matmul,
+    sqrt_one_minus_4t,
+)
 
 
 def series(values):
@@ -54,35 +61,42 @@ class TestCirculantShape:
                     build(1, n, 5)
 
     def test_order_mismatch_rejected(self):
+        # The reference builder of graded blocks refuses what no circulant
+        # can hold: entries cut from series of two orders.
         with pytest.raises(ValueError, match="one truncation order"):
-            SeriesMatrix([[series([1]), series([0])], [series([0]), series([1, 2])]])
+            graded_block([[series([1]), series([0])], [series([0]), series([1, 2])]])
 
 
 class TestFirstRows:
     def test_restriction_row_frozen(self):
+        # Entries are kept in u = t**2: class 0 holds t**0, t**2, t**4 and
+        # class 1 holds t**1, t**3.
         circ = restriction_circulant(1, 2, 5)
-        assert circ.rows[0][0].coeffs == (1, 0, -2, 0, -10)
-        assert circ.rows[0][1].coeffs == (0, -2, 0, -4, 0)
+        assert (circ.period, circ.order, circ.classes[0]) == (2, 5, (0, 1))
+        assert circ.rows[0] == ((1, -2, -10), (-2, -4))
+        assert [s.coeffs for s in entry_series(circ)[0]] == [
+            (1, 0, -2, 0, -10), (0, -2, 0, -4, 0)]
 
     def test_escaping_row_frozen(self):
         circ = escaping_circulant(1, 2, 5)
-        assert circ.rows[0][0].coeffs == (1, 0, 6, 0, 70)
-        assert circ.rows[0][1].coeffs == (0, 2, 0, 20, 0)
+        assert circ.rows[0] == ((1, 6, 70), (2, 20))
+        assert [s.coeffs for s in entry_series(circ)[0]] == [
+            (1, 0, 6, 0, 70), (0, 2, 0, 20, 0)]
 
     def test_single_class_degenerate(self):
         # n = 1 keeps the whole series in one entry.
         circ = restriction_circulant(1, 1, 6)
         assert circ.n == 1
-        assert circ.grading == (1, (0,))
-        recip = circ.rows[0][0]
-        assert recip.coeffs[0] == 1
+        assert (circ.period, circ.classes) == (1, ((0,),))
+        assert circ.rows[0][0] == LoopModel(1, 6).reciprocal_loop_gf().coeffs
 
     def test_rows_partition_their_series(self):
         # The n multisections reassemble the reciprocal loop series.
         circ = restriction_circulant(2, 4, 8)
-        total = circ.rows[0][0]
+        first = entry_series(circ)[0]
+        total = first[0]
         for j in range(1, 4):
-            total = total + circ.rows[0][j]
+            total = total + first[j]
         assert total == LoopModel(dim=2, order=8).loop_gf().inverse()
 
     @pytest.mark.parametrize("dim, n", CIRCULANT_SIZES)
@@ -92,7 +106,7 @@ class TestFirstRows:
         order = 12
         reciprocal = LoopModel(dim=dim, order=order).loop_gf().inverse()
         circ = restriction_circulant(dim, n, order)
-        assert list(circ.rows[0]) == [
+        assert entry_series(circ)[0] == [
             reciprocal.multisection(n, j) for j in range(n)]
 
     def test_matches_system_matrix_on_residues(self):
@@ -147,17 +161,17 @@ class TestRowRelation:
 
 class TestDeterminant:
     def test_identity(self):
-        assert series_determinant(identity_matrix(3, 5)) == (
+        assert series_determinant(graded_block(identity_matrix(3, 5))) == (
             TruncatedSeries.one(5))
 
     def test_one_by_one(self):
         s = series([1, 7, -2])
-        assert series_determinant(SeriesMatrix([[s]])) == s
+        assert series_determinant(graded_block([[s]])) == s
 
     def test_two_by_two(self):
         a, b = series([1, 2, 0]), series([0, 1, 0])
         c, d = series([0, 3, 1]), series([1, 0, 5])
-        matrix = SeriesMatrix([[a, b], [c, d]])
+        matrix = graded_block([[a, b], [c, d]])
         assert series_determinant(matrix) == a * d - b * c
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -180,20 +194,20 @@ class TestDeterminant:
                     coeffs[0] = signs[i] if i == j else 0
                     row.append(series(coeffs))
                 rows.append(row)
-            matrix = SeriesMatrix(rows, (period, labels))
-            assert series_determinant(matrix) == leibniz_determinant(matrix), signs
+            matrix = graded_block(rows, (period, labels))
+            assert series_determinant(matrix) == leibniz_determinant(rows), signs
 
     def test_zero_pivot_rejected(self):
         t = TruncatedSeries.monomial(1, 1, 4)
         with pytest.raises(ArithmeticError):
-            series_determinant(SeriesMatrix([[t]]))
+            series_determinant(graded_block([[t]]))
 
     def test_non_unit_pivot_rejected(self):
         # The determinant 4 is an integer, but its pivots 2 and 2 are not
         # units of Z[[t]], so elimination refuses the first of them.
         two, zero = TruncatedSeries.monomial(2, 0, 3), TruncatedSeries([0] * 3)
         with pytest.raises(ArithmeticError, match="pivot 0 has constant term 2"):
-            series_determinant(SeriesMatrix([[two, zero], [zero, two]]))
+            series_determinant(graded_block([[two, zero], [zero, two]]))
 
     def test_restriction_determinant_is_unit(self):
         det = series_determinant(restriction_circulant(1, 4, 8))
@@ -203,8 +217,11 @@ class TestDeterminant:
 class TestQuarter:
     def test_upper_left_block(self):
         rows = [[series([10 * i + j]) for j in range(4)] for i in range(4)]
-        assert quarter(SeriesMatrix(rows)).rows == (
-            (rows[0][0], rows[0][1]), (rows[1][0], rows[1][1]))
+        block = graded_block(rows)
+        upper = quarter(block)
+        assert entry_series(upper) == [rows[0][:2], rows[1][:2]]
+        # The quarter shares the block's entries.
+        assert all(upper.rows[i][j] is block.rows[i][j] for i in range(2) for j in range(2))
 
     @pytest.mark.parametrize("dim, n", [(d, n) for d, n in CIRCULANT_SIZES if n % 2 == 0])
     def test_lower_band_repeats_upper(self, dim, n):
@@ -218,13 +235,14 @@ class TestQuarter:
     def test_gradings(self):
         for build in (restriction_circulant, escaping_circulant):
             circ = build(1, 6, 10)
-            assert circ.grading == (6, (0, 1, 2, 3, 4, 5))
-            assert quarter(circ).grading == (6, (0, 1, 2))
-        # Any even-sized matrix splits, keeping the first half of its labels.
-        plain = SeriesMatrix([[series([v, 1]) for v in (10, 11, 12, 13)]] * 4)
-        assert quarter(plain).grading == (1, (0, 0))
-        graded = SeriesMatrix([[series([1, 0])] * 2] * 2, (2, (1, 1)))
-        assert quarter(graded).grading == (2, (1,))
+            assert circ.period == quarter(circ).period == 6
+            assert circ.classes == tuple(tuple((b - a) % 6 for b in range(6)) for a in range(6))
+            assert quarter(circ).classes == ((0, 1, 2), (5, 0, 1), (4, 5, 0))
+        # Any even-sized block splits, keeping the classes of its first half.
+        plain = graded_block([[series([v, 1]) for v in (10, 11, 12, 13)]] * 4)
+        assert (quarter(plain).period, quarter(plain).classes) == (1, ((0, 0), (0, 0)))
+        graded = graded_block([[series([1, 0])] * 2] * 2, (2, (1, 1)))
+        assert (quarter(graded).period, quarter(graded).classes) == (2, ((0,),))
 
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -241,7 +259,34 @@ class TestQuarter:
             block = circulant._circulant_block(gf, 2 * k, range(k))
             sliced = quarter(build(dim, 2 * k, 11))
             assert block.rows == sliced.rows
-            assert block.grading == sliced.grading
+            assert block.classes == sliced.classes
+            assert (block.period, block.order) == (sliced.period, sliced.order)
+
+
+class TestStaircaseSharing:
+    NAMES = ("restriction", "escaping", "substituted")
+
+    @staticmethod
+    def copied(record):
+        return {name: [[list(entry) for entry in row] for row in block.rows]
+                for name, block in record.quarters.items()}
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_every_read_order_gives_the_cold_determinants(self, dim):
+        # The substituted quarter shares its first column with the escaping
+        # quarter and every other entry with the restriction quarter, so an
+        # elimination that wrote into a block would change what is read
+        # after it.  Each order of the three reads runs on a fresh record,
+        # against each determinant read first on a record of its own, and
+        # leaves every quarter as it was built.
+        order = 20
+        for k in range(1, 5):
+            cold = {name: circulant._Staircase(dim, k, order)[name] for name in self.NAMES}
+            for names in permutations(self.NAMES):
+                record = circulant._Staircase(dim, k, order)
+                built = self.copied(record)
+                assert {name: record[name] for name in names} == cold, (k, names)
+                assert self.copied(record) == built, (k, names)
 
 
 class TestGradedDeterminant:
@@ -251,14 +296,14 @@ class TestGradedDeterminant:
         for circ in (restriction_circulant(dim, 2 * k, order),
                      escaping_circulant(dim, 2 * k, order)):
             for matrix in (quarter(circ), circ):
-                assert matrix.grading[0] == 2 * k
-                dense = SeriesMatrix(matrix.rows)
+                assert matrix.period == 2 * k
+                dense = graded_block(entry_series(matrix))
                 assert series_determinant(matrix) == series_determinant(dense)
 
     def test_restriction_system_determinant(self):
         matrix, _ = build_system(2, PeriodicSet((0, 1, 3, 4), 7), 15)
         assert series_determinant(matrix) == series_determinant(
-            SeriesMatrix(matrix.rows))
+            graded_block(entry_series(matrix)))
 
 
 class TestCirculantNorm:
@@ -453,4 +498,4 @@ class TestDeterminantChain:
         for n in (2, 4, 6):
             b = escaping_circulant(1, n, 10)
             c = restriction_circulant(1, n, 10)
-            assert matmul(b, c).rows == identity_matrix(n, 10).rows
+            assert matmul(entry_series(b), entry_series(c)) == identity_matrix(n, 10)

@@ -565,6 +565,28 @@ class TestFullStdout:
         assert "Exception ignored" not in result.stderr
 
 
+
+class TestClosedPipe:
+    # A reader that closed its end of the pipe is a failed stdout write
+    # like any other: exit 2 and one error line, naming EPIPE.  The read
+    # end is closed before the child starts, so every write fails.
+    @pytest.mark.parametrize("command", sorted(TestFullStdout.COMMANDS))
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_exit_2_with_one_broken_pipe_line(self, command, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "lattice_gf", *TestFullStdout.COMMANDS[command]],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "error: cannot write '-': Broken pipe\n"
+
 def _flag(good, bad):
     """A value from the pool ``good``, or one time in eight from ``bad``;
     None leaves the flag out."""

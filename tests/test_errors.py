@@ -8,7 +8,6 @@ import pytest
 from lattice_gf import (
     LoopModel,
     PeriodicSet,
-    SeriesMatrix,
     TruncatedSeries,
     build_system,
     column_substitution_check,
@@ -29,7 +28,6 @@ from lattice_gf import (
 )
 
 SET = PeriodicSet((0,), 2)
-ONE = TruncatedSeries.one(4)
 SERIES = TruncatedSeries([1, 2, 3, 4])
 
 
@@ -58,14 +56,11 @@ def _rows():
     yield "monomial.exponent", lambda v: TruncatedSeries.monomial(1, v, 4), "exponent", 0
     yield "monomial.order", lambda v: TruncatedSeries.monomial(1, 0, v), "truncation order", 1
     yield "one", TruncatedSeries.one, "truncation order", 1
-    for method in ("multisection", "is_multisection"):
-        yield f"{method}.q", lambda v, m=method: getattr(SERIES, m)(v, 0), "multisection modulus", 1
-        yield f"{method}.r", lambda v, m=method: getattr(SERIES, m)(2, v), "multisection residue", None
+    yield "multisection.q", lambda v: SERIES.multisection(v, 0), "multisection modulus", 1
+    yield "multisection.r", lambda v: SERIES.multisection(2, v), "multisection residue", None
     yield "inv_sqrt.coeff", lambda v: inv_sqrt_one_minus_monomial(v, 2, 4), "coefficient", None
     yield "inv_sqrt.exponent", lambda v: inv_sqrt_one_minus_monomial(16, v, 4), "exponent", 1
     yield "inv_sqrt.order", lambda v: inv_sqrt_one_minus_monomial(16, 2, v), "truncation order", 1
-    yield "SeriesMatrix.period", lambda v: SeriesMatrix([[ONE]], (v, (0,))), "grading period", 1
-    yield "SeriesMatrix.label", lambda v: SeriesMatrix([[ONE]], (1, (v,))), "grading label", None
     for f in (restriction_circulant, escaping_circulant, row_relation_check):
         yield f"{f.__name__}.dim", lambda v, f=f: f(v, 2, 4), "dimension", 1
         yield f"{f.__name__}.n", lambda v, f=f: f(1, v, 4), "circulant size", 1

@@ -304,11 +304,10 @@ class TestMultisection:
     def test_non_int_modulus_or_residue_refused(self, bad):
         # True would be read as modulus 1 or residue 1.
         s, name = series([1, 2, 3]), type(bad).__name__
-        for section in (s.multisection, s.is_multisection):
-            with pytest.raises(TypeError, match=f"^multisection modulus must be an int, not {name}$"):
-                section(bad, 0)
-            with pytest.raises(TypeError, match=f"^multisection residue must be an int, not {name}$"):
-                section(2, bad)
+        with pytest.raises(TypeError, match=f"^multisection modulus must be an int, not {name}$"):
+            s.multisection(bad, 0)
+        with pytest.raises(TypeError, match=f"^multisection residue must be an int, not {name}$"):
+            s.multisection(2, bad)
 
     @given(series_st(), st.integers(min_value=1, max_value=8))
     def test_multisection_partition(self, s, q):

@@ -14,7 +14,6 @@ from lattice_gf.oracle import count_restricted
 from lattice_gf.periodic import PeriodicSet, hajnal_nagy_set
 from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import (
-    SeriesMatrix,
     build_system,
     check_walk_series,
     restricted_path_gf,
@@ -23,7 +22,10 @@ from lattice_gf.system import (
 )
 
 from helpers import (
+    entry_series,
+    graded_block,
     identity_matrix,
+    is_multisection,
     load_benchmark_module,
     mul_vec,
     one_forbidden_closed_form,
@@ -70,11 +72,12 @@ class TestSystemAssembly:
         matrix, rhs = build_system(dim, restriction, order)
         excursions = LoopModel(dim=dim, order=order).primitive_excursion_gf()
         one = TruncatedSeries.one(order)
-        assert matrix.rows[0][0] == one - excursions.multisection(4, 0)
-        assert matrix.rows[0][1] == -excursions.multisection(4, 1)
-        assert matrix.rows[1][0] == -excursions.multisection(
+        entries = entry_series(matrix)
+        assert entries[0][0] == one - excursions.multisection(4, 0)
+        assert entries[0][1] == -excursions.multisection(4, 1)
+        assert entries[1][0] == -excursions.multisection(
             4, shift_distance(1, 0, 4))
-        assert matrix.rows[1][1] == one - excursions.multisection(4, 0)
+        assert entries[1][1] == one - excursions.multisection(4, 0)
         escaping = LoopModel(dim=dim, order=order).escaping_gf()
         assert rhs == [escaping, escaping]
 
@@ -94,12 +97,14 @@ class TestSystemAssembly:
         excursions = model.primitive_excursion_gf()
         one = TruncatedSeries.one(order)
         period, residues = restriction.period, restriction.residues
+        entries = entry_series(matrix)
         for i, r in enumerate(residues):
             for j, q in enumerate(residues):
                 shift = shift_distance(r, q, period)
                 identity = one if i == j else TruncatedSeries([0] * order)
-                assert matrix.rows[i][j] == reciprocal.multisection(period, shift)
-                assert matrix.rows[i][j] == identity - excursions.multisection(
+                assert matrix.classes[i][j] == shift
+                assert entries[i][j] == reciprocal.multisection(period, shift)
+                assert entries[i][j] == identity - excursions.multisection(
                     period, shift)
 
     def test_full_set_rows_sum_to_renewal_complement(self):
@@ -109,10 +114,11 @@ class TestSystemAssembly:
         matrix, _ = build_system(dim, restriction, order)
         excursions = LoopModel(dim=dim, order=order).primitive_excursion_gf()
         one = TruncatedSeries.one(order)
+        entries = entry_series(matrix)
         for r in range(3):
             total = TruncatedSeries([0] * order)
             for q in range(3):
-                total = total + matrix.rows[r][q]
+                total = total + entries[r][q]
             assert total == one - excursions
 
     def test_solution_satisfies_system(self):
@@ -120,28 +126,27 @@ class TestSystemAssembly:
         restriction = PeriodicSet((0, 2), 5)
         matrix, rhs = build_system(dim, restriction, order)
         solution = solve_linear_system(matrix, rhs)
-        assert mul_vec(matrix, solution) == rhs
+        assert mul_vec(entry_series(matrix), solution) == rhs
 
     def test_identity_solve(self):
         order = 5
-        identity = identity_matrix(3, order)
+        identity = graded_block(identity_matrix(3, order))
         rhs = [TruncatedSeries.monomial(j + 1, j, order) for j in range(3)]
         assert solve_linear_system(identity, rhs) == rhs
 
     def test_declared_grading_recorded(self):
         restriction = PeriodicSet((0, 2, 3), 5)
         matrix, _ = build_system(1, restriction, 12)
-        assert matrix.grading == (5, (0, 2, 3))
-        assert SeriesMatrix(matrix.rows).grading == (1, (0, 0, 0))
-        assert SeriesMatrix(matrix.rows).classes == ((0, 0, 0),) * 3
-        period, labels = matrix.grading
+        labels = (0, 2, 3)
+        assert (matrix.period, matrix.order) == (5, 12)
         assert matrix.classes == tuple(
-            tuple((lb - la) % period for lb in labels) for la in labels)
+            tuple((lb - la) % 5 for lb in labels) for la in labels)
+        plain = graded_block(entry_series(matrix))
+        assert (plain.period, plain.classes) == (1, ((0, 0, 0),) * 3)
         # Labels outside [0, period) and out of order.
-        order, labels = 6, (0, 5, -2)
-        rows = [[TruncatedSeries.monomial(1, (lb - la) % 3, order) for lb in labels]
-                for la in labels]
-        assert SeriesMatrix(rows, (3, labels)).classes == ((0, 2, 1), (1, 0, 2), (2, 1, 0))
+        block = system._circulant_block(TruncatedSeries(range(1, 7)), 3, (0, 5, -2))
+        assert block.classes == ((0, 2, 1), (1, 0, 2), (2, 1, 0))
+        assert block.rows[0] == ((1, 4), (3, 6), (2, 5))
 
     def test_off_class_entry_rejected(self):
         # Entry (0, 1) of a (2, (0, 1)) grading must live on odd exponents.
@@ -149,21 +154,19 @@ class TestSystemAssembly:
         one = TruncatedSeries.one(order)
         odd = TruncatedSeries.monomial(3, 1, order)
         even = TruncatedSeries.monomial(3, 2, order)
-        SeriesMatrix([[one, odd], [odd, one]], (2, (0, 1)))
+        graded_block([[one, odd], [odd, one]], (2, (0, 1)))
         with pytest.raises(ValueError, match=r"entry \(0, 1\).*class 1 mod 2"):
-            SeriesMatrix([[one, even], [odd, one]], (2, (0, 1)))
+            graded_block([[one, even], [odd, one]], (2, (0, 1)))
         with pytest.raises(ValueError):
-            SeriesMatrix([[one, odd], [odd, one]], (2, (0,)))
+            graded_block([[one, odd], [odd, one]], (2, (0,)))
 
     @pytest.mark.parametrize("bad", [True, 2.0])
     def test_non_int_grading_refused_by_name(self, bad):
-        one, name = TruncatedSeries.one(4), type(bad).__name__
-        with pytest.raises(TypeError, match=f"^grading period must be an int, not {name}$"):
-            SeriesMatrix([[one, one], [one, one]], (bad, (0, 0)))
-        with pytest.raises(TypeError, match=f"^grading label must be an int, not {name}$"):
-            SeriesMatrix([[one, one], [one, one]], (2, (0, bad)))
-        with pytest.raises(TypeError, match="^grading label must be an int, not float$"):
-            SeriesMatrix([[one]], (1, (0.5,)))
+        # The builder of every block refuses a period that is not an int
+        # before it slices anything.
+        name = type(bad).__name__
+        with pytest.raises(TypeError, match=f"^circulant size must be an int, not {name}$"):
+            system._circulant_block(TruncatedSeries.one(4), bad, (0, 1))
 
     def test_shared_series_checked_per_class(self):
         # One series object sits at entry (0, 1), class 1 mod 3, where it
@@ -173,13 +176,13 @@ class TestSystemAssembly:
         t = TruncatedSeries.monomial(1, 1, order)
         rows = [[one, t, zero], [t, one, zero], [zero, zero, one]]
         with pytest.raises(ValueError, match=r"entry \(1, 0\).*class 2 mod 3"):
-            SeriesMatrix(rows, (3, (0, 1, 2)))
+            graded_block(rows, (3, (0, 1, 2)))
 
     def test_singular_system_rejected(self):
         order = 4
         zero = TruncatedSeries([0] * order)
         t = TruncatedSeries.monomial(1, 1, order)
-        matrix = SeriesMatrix([[t, zero], [zero, t]])
+        matrix = graded_block([[t, zero], [zero, t]])
         with pytest.raises(ArithmeticError):
             solve_linear_system(matrix, [zero, zero])
 
@@ -187,7 +190,7 @@ class TestSystemAssembly:
         order = 3
         zero, one = TruncatedSeries([0] * order), TruncatedSeries.one(order)
         two = TruncatedSeries.monomial(2, 0, order)
-        matrix = SeriesMatrix([[one, zero], [zero, two]])
+        matrix = graded_block([[one, zero], [zero, two]])
         with pytest.raises(ArithmeticError, match="pivot 1 has constant term 2"):
             solve_linear_system(matrix, [one, one])
 
@@ -195,7 +198,32 @@ class TestSystemAssembly:
         order = 4
         minus_one = TruncatedSeries.monomial(-1, 0, order)
         rhs = TruncatedSeries([1, 2, 3, 4])
-        assert solve_linear_system(SeriesMatrix([[minus_one]]), [rhs]) == [-rhs]
+        assert solve_linear_system(graded_block([[minus_one]]), [rhs]) == [-rhs]
+
+
+class TestGradedBlock:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_builder_matches_the_checked_reference(self, dim):
+        # The builder slices one class per entry and checks nothing; the
+        # reference checks that each multisection lies in its class, then
+        # slices it.  Every set of labels of each period up to 8, ascending
+        # as build_system passes them and descending as the complement
+        # route may.
+        order = 11
+        model = LoopModel(dim, order)
+        for f in (model.loop_gf(), model.reciprocal_loop_gf(), model.escaping_gf()):
+            for period in range(1, 9):
+                sections = [f.multisection(period, c) for c in range(period)]
+                for mask in range(1, 2**period):
+                    ascending = [r for r in range(period) if mask >> r & 1]
+                    for labels in (ascending, ascending[::-1]):
+                        block = system._circulant_block(f, period, labels)
+                        reference = graded_block(
+                            [[sections[(b - a) % period] for b in labels] for a in labels],
+                            (period, labels))
+                        assert block.rows == reference.rows, (period, labels)
+                        assert block.classes == reference.classes, (period, labels)
+                        assert (block.period, block.order) == (period, order)
 
 
 class TestGradedSolve:
@@ -206,11 +234,11 @@ class TestGradedSolve:
         if dim == 3:
             order = min(order, 16)
         matrix, rhs = build_system(dim, restriction, order)
-        assert matrix.grading == (restriction.period, restriction.residues)
+        assert matrix.period == restriction.period
         graded = dict(zip(restriction.residues,
                           (s.coeffs for s in solve_linear_system(matrix, rhs))))
         dense = dict(zip(restriction.residues, (
-            s.coeffs for s in solve_linear_system(SeriesMatrix(matrix.rows), rhs))))
+            s.coeffs for s in solve_linear_system(graded_block(entry_series(matrix)), rhs))))
         assert first_difference(graded, dense) is None, first_difference(graded, dense)
         # The oracle prefix is the whole order in one and two dimensions.  In
         # three it stops at half-length 12, inside the default budget on
@@ -227,12 +255,12 @@ class TestGradedSolve:
         for dim, restriction in ((1, PeriodicSet((0, 2, 3), 5)),
                                  (2, hajnal_nagy_set(3))):
             matrix, _ = build_system(dim, restriction, 20)
-            rows = system._eliminate(SeriesMatrix(matrix.rows))
+            rows = system._eliminate(graded_block(entry_series(matrix)))
             res, period = restriction.residues, restriction.period
             for a in range(len(res)):
                 for b in range(a, len(res)):
                     cls = (res[b] - res[a]) % period
-                    assert TruncatedSeries(rows[a][b]).is_multisection(period, cls)
+                    assert is_multisection(TruncatedSeries(rows[a][b]), period, cls)
 
     def test_kernel_calls_counted_exactly(self, monkeypatch):
         # Every set of period <= 8 in dim 1 at order period + 3, with n
@@ -248,7 +276,8 @@ class TestGradedSolve:
                 n, order = restriction.size, period + 3
                 matrix, rhs = build_system(1, restriction, order)
                 calls.clear()
-                assert mul_vec(matrix, solve_linear_system(matrix, rhs)) == rhs, restriction
+                solution = solve_linear_system(matrix, rhs)
+                assert mul_vec(entry_series(matrix), solution) == rhs, restriction
                 assert Counter(name for name, *_ in calls) == Counter({
                     "quotient_coeffs": n * (n - 1) // 2 + n,
                     "add_product_coeffs": (n - 1) * n * (2 * n - 1) // 6,
