@@ -24,7 +24,7 @@ from .oracle import (
     count_simple_loops,
 )
 from .periodic import PeriodicSet, hajnal_nagy_set
-from .series import TruncatedSeries, inv_sqrt_one_minus_monomial
+from .series import TruncatedSeries
 from .system import (
     RestrictedPathSolution,
     build_system,
@@ -53,7 +53,6 @@ __all__ = [
     "escaping_circulant",
     "hajnal_nagy_set",
     "hn_determinant_check",
-    "inv_sqrt_one_minus_monomial",
     "quarter",
     "restricted_path_gf",
     "restriction_circulant",

@@ -18,8 +18,9 @@ give the full circulant, and rows and columns ``0..k-1`` of period ``2k``
 give the upper-left quarter directly.  Each entry is kept as its
 coefficients in ``u = t**n``, and ``system.series_determinant`` runs the
 elimination kernel on either.
-The row relation needs no matrix: it reads the ``n`` multisections of the
-two series, which are the first rows of the two circulants.  Nor does the
+The row relation needs no matrix: the first rows of the two circulants
+are the ``n`` multisections of two series, and it compares the one series
+relation that all ``n`` entry-wise relations cut into classes.  Nor does the
 full determinant: ``_circulant_norm`` takes it from an exact integer
 recurrence on the series itself, so no command eliminates a full circulant.
 
@@ -44,7 +45,7 @@ import functools
 from .errors import check_int
 from .loops import LoopModel
 from .periodic import hajnal_nagy_set
-from .series import TruncatedSeries, inv_sqrt_one_minus_monomial, quotient_coeffs
+from .series import TruncatedSeries, quotient_coeffs
 from .system import SeriesMatrix, _circulant_block, restricted_path_gf, series_determinant
 
 # Bound of the _staircase records; one identity-chain pass asks for 9
@@ -93,22 +94,19 @@ def row_relation_check(dim: int, n: int, order: int) -> bool:
     """Entry-wise relation between the first rows of the two circulants.
 
     The first rows are the ``n`` multisections of the reciprocal loop series
-    and of the escaping series, so the check reads those multisections and
-    builds no matrix.  Subtracting the reciprocal loop series from the
-    escaping series leaves ``4**d t`` times the escaping series, so each
-    difference of multisections is the ``t``-shift of the cyclically
-    previous escaping multisection.
+    ``1/L`` and of the escaping series ``E``.  Entry ``j`` says that ``E_j -
+    (1/L)_j`` is ``4**d t E_{j-1}``, the ``t``-shift of the cyclically
+    previous escaping multisection: class ``j`` mod ``n`` of the series
+    relation ``E - 1/L = 4**d t E``.  The classes mod ``n`` split the
+    coefficients, so for every ``n`` the ``n`` entry-wise relations all hold
+    exactly when that one relation does, and the check compares it once,
+    cutting no multisection and building no matrix.
     """
     model = LoopModel(dim, order)
     check_int("circulant size", n, 1)
-    reciprocal, escaping = model.reciprocal_loop_gf(), model.escaping_gf()
-    sections = [escaping.multisection(n, j) for j in range(n)]
+    escaping = model.escaping_gf()
     step = TruncatedSeries.monomial(4**dim, 1, order)
-    # sections[-1] is the class n - 1 that cyclically precedes class 0.
-    return all(
-        sections[j] - reciprocal.multisection(n, j) == sections[j - 1] * step
-        for j in range(n)
-    )
+    return escaping - model.reciprocal_loop_gf() == escaping * step
 
 
 def quarter(matrix: SeriesMatrix) -> SeriesMatrix:
@@ -188,8 +186,9 @@ def hn_determinant_check(k: int, order: int) -> bool:
     det_full = _circulant_norm(LoopModel(1, order).reciprocal_loop_gf(), 2 * k)
     record = _staircase(1, k, order)
     block_identity = record["escaping"] * det_full == record["restriction"]
-    closed_form = (
-        det_full * inv_sqrt_one_minus_monomial(4 ** (2 * k), 2 * k, order)
-        == TruncatedSeries.one(order)
+    # A square root with constant term 1 is unique modulo t**order, so the
+    # square decides whether det_full is sqrt(1 - (4t)**(2k)).
+    closed_form = det_full.coeffs[0] == 1 and det_full * det_full == (
+        TruncatedSeries.one(order) - TruncatedSeries.monomial(4 ** (2 * k), 2 * k, order)
     )
     return block_identity and closed_form

@@ -7,10 +7,10 @@ such counts, so the integers are the one coefficient ring.  Other integer
 types, such as ``bool``, are converted with ``operator.index``; a rational,
 floating-point or decimal coefficient is refused with ``TypeError``.  The
 ring stays closed: ``quotient_coeffs`` divides only by series with constant
-term +-1, the inverse is the quotient of 1, and the square-root expansion
-needs a base divisible by 4.  ``add_product_coeffs`` is the one product
-kernel: it adds a product into the caller's list, so a ring product starts
-from zeros and an elimination step updates its entry in place.
+term +-1, and the inverse is the quotient of 1.  ``add_product_coeffs`` is
+the one product kernel: it adds a product into the caller's list, so a ring
+product starts from zeros and an elimination step updates its entry in
+place.
 ``quotient_coeffs`` is the one division kernel: every exact series division
 of the package is one call per divisor, the only exception being the
 two-term divisor of ``loops.geometric_sum``, a running sum.
@@ -19,9 +19,9 @@ The binomial family ``(1 - 4 b x) ** (+-1/2)`` is expanded in one place,
 ``half_power_coeffs``.  ``loops`` raises the coefficients of
 ``(1 - 4t) ** (-1/2)``, the central binomials, to the power ``d`` for the
 loop series, and takes ``(1 - 4t) ** (1/2)`` as the one-dimensional
-reciprocal loop series.  ``inv_sqrt_one_minus_monomial`` places the
-``-1/2`` case at every ``exponent``-th index, which gives the Hajnal-Nagy
-closed form ``(1 - (4t)**(2k)) ** (-1/2)``.
+reciprocal loop series.  With ``b = 4**(2k-1)`` and ``x = t**(2k)`` the
+``-1/2`` case is the Hajnal-Nagy closed form ``(1 - (4t)**(2k)) **
+(-1/2)`` that ``verify-hn`` compares with.
 
 The order is part of the value: binary operations refuse operands of
 different orders instead of silently re-truncating, which keeps long identity
@@ -214,22 +214,3 @@ def half_power_coeffs(base: int, sign: int, count: int) -> list:
         coeffs[j] = c
     return coeffs
 
-
-def inv_sqrt_one_minus_monomial(coeff: int, exponent: int, order: int) -> TruncatedSeries:
-    """Expansion of ``(1 - coeff * t**exponent) ** (-1/2)``.
-
-    The coefficient at ``t**(j*exponent)`` is ``comb(2j, j) * (coeff/4)**j``
-    and every other coefficient vanishes.  These are integers exactly when 4
-    divides ``coeff``, as in the Hajnal-Nagy case ``4**(2k)``; any other
-    ``coeff`` is refused.
-    """
-    check_int("truncation order", order, 1)
-    check_int("exponent", exponent, 1)
-    check_int("coefficient", coeff)
-    if coeff % 4:
-        raise ValueError(
-            f"coefficient {coeff} is not a multiple of 4: the expansion leaves Z[[t]]"
-        )
-    out = [0] * order
-    out[::exponent] = half_power_coeffs(coeff // 4, -1, (order - 1) // exponent + 1)
-    return TruncatedSeries(out)

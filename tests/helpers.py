@@ -14,7 +14,12 @@ products and matrix-vector products entry by entry,
 ``odd_length_count`` reads one value off an oracle table, and
 ``payload_to_series`` reads back the exact coefficients of a CLI document.
 ``unfolded_counts`` is the reference for the folded oracle: the same dynamic
-program over every site of the unfolded grid.  ``reduction_check`` and
+program over every site of the unfolded grid.  ``per_class_row_relation``
+checks the row relation one multisection class at a time, and
+``hajnal_nagy_closed_form`` expands ``(1 - (4t)**(2k)) ** (-1/2)`` from
+binomials; ``closed_form_by_product`` and ``closed_form_detail`` are the
+product and first-difference forms of the Hajnal-Nagy closed-form checks
+that the library's one-relation and ``u``-section forms are held equal to.  ``reduction_check`` and
 ``period_two_closed_form`` test the solved series against the system they
 solve, by multisection, and ``one_forbidden_closed_form`` solves a set with
 one forbidden residue by hand.  ``sets_up_to_rotation`` lists the periodic
@@ -256,6 +261,49 @@ def one_forbidden_closed_form(
     )
     drift = one - TruncatedSeries.monomial(4**dim, 1, order)
     return (one - ratio) * drift.inverse()
+
+
+def per_class_row_relation(
+    escaping: TruncatedSeries, reciprocal: TruncatedSeries, dim: int, n: int
+) -> bool:
+    """The row relation entry by entry: for each class ``j`` mod ``n``, the
+    ``(n, j)`` multisection of ``escaping - reciprocal`` is ``4**dim t``
+    times the ``(n, j - 1)`` multisection of ``escaping``."""
+    sections = [escaping.multisection(n, j) for j in range(n)]
+    step = TruncatedSeries.monomial(4**dim, 1, escaping.order)
+    # sections[-1] is the class n - 1 that cyclically precedes class 0.
+    return all(
+        sections[j] - reciprocal.multisection(n, j) == sections[j - 1] * step
+        for j in range(n)
+    )
+
+
+def hajnal_nagy_closed_form(k: int, order: int) -> TruncatedSeries:
+    """``(1 - (4t)**(2k)) ** (-1/2)``: ``comb(2j, j) * 4**((2k - 1) j)`` at
+    ``t**(2kj)`` and zero elsewhere."""
+    coeffs = [0] * order
+    for j in range((order - 1) // (2 * k) + 1):
+        coeffs[2 * k * j] = comb(2 * j, j) * 4 ** ((2 * k - 1) * j)
+    return TruncatedSeries(coeffs)
+
+
+def closed_form_by_product(det_full: TruncatedSeries, k: int) -> bool:
+    """Whether ``det_full`` is ``sqrt(1 - (4t)**(2k))``, by its product with
+    the inverse square root being 1."""
+    order = det_full.order
+    return det_full * hajnal_nagy_closed_form(k, order) == TruncatedSeries.one(order)
+
+
+def closed_form_detail(series: TruncatedSeries, k: int) -> tuple[bool, str]:
+    """``verify-hn``'s closed-form verdict and detail for a walk series: its
+    ``(2k, 0)`` multisection against ``hajnal_nagy_closed_form``, index by
+    index in ``t``."""
+    sliced = series.multisection(2 * k, 0)
+    target = hajnal_nagy_closed_form(k, series.order)
+    for j, (got, want) in enumerate(zip(sliced.coeffs, target.coeffs)):
+        if got != want:
+            return False, f" (first differing index {j}: solved {got}, closed form {want})"
+    return True, ""
 
 
 def odd_length_count(

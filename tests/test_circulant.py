@@ -23,11 +23,13 @@ from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import build_system
 
 from helpers import (
+    closed_form_by_product,
     entry_series,
     graded_block,
     identity_matrix,
     leibniz_determinant,
     matmul,
+    per_class_row_relation,
     sqrt_one_minus_4t,
 )
 
@@ -127,9 +129,10 @@ class TestRowRelation:
             for n in (2, 4, 6, 8):
                 assert row_relation_check(dim, n, order=10)
 
-    def test_reads_each_multisection_once_and_builds_no_circulant(self, monkeypatch):
-        # The first rows are the multisections themselves, so the check
-        # needs no matrix, and each of the 2n classes is cut once.
+    def test_cuts_no_multisection_and_builds_no_circulant(self, monkeypatch):
+        # The n entry-wise relations are the classes of one series relation,
+        # so the check compares that relation and needs no matrix and no
+        # multisection.
         built, sections = [], []
         multisection = TruncatedSeries.multisection
 
@@ -140,10 +143,28 @@ class TestRowRelation:
         monkeypatch.setattr(circulant, "_circulant_block", lambda *args: built.append(args))
         monkeypatch.setattr(TruncatedSeries, "multisection", recording)
         for dim, n in CIRCULANT_SIZES:
-            sections.clear()
             assert row_relation_check(dim, n, order=10)
-            assert sorted(sections) == sorted([(n, j) for j in range(n)] * 2)
-        assert built == []
+        assert (sections, built) == ([], [])
+
+    @pytest.mark.parametrize("wrong", [False, True])
+    def test_matches_the_per_class_relation(self, monkeypatch, wrong):
+        # One comparison of the series relation against n comparisons of
+        # its classes, on the package's series and on an escaping series of
+        # weight 4**d + 1.
+        if wrong:
+            monkeypatch.setattr(LoopModel, "escaping_gf", lambda self: geometric_sum(
+                self.reciprocal_loop_gf().coeffs, 4**self.dim + 1))
+        verdicts = set()
+        for dim in (1, 2, 3, 4):
+            for order in range(1, 41):
+                model = LoopModel(dim, order)
+                escaping, reciprocal = model.escaping_gf(), model.reciprocal_loop_gf()
+                for n in range(1, 17):
+                    want = per_class_row_relation(escaping, reciprocal, dim, n)
+                    assert row_relation_check(dim, n, order) == want, (dim, n, order)
+                    verdicts.add(want)
+        # The wrong series still passes at order 1, where nothing is compared.
+        assert verdicts == ({True, False} if wrong else {True})
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_detects_a_wrong_escaping_series(self, monkeypatch, n):
@@ -372,6 +393,32 @@ class TestCirculantNorm:
         monkeypatch.setattr(circulant, "_circulant_norm", lambda f, n: (
             norm(f, n) + TruncatedSeries.monomial(1, n, f.order)))
         assert not hn_determinant_check(k, 14)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_closed_form_square_matches_the_product_form(self, monkeypatch, k):
+        # The closed-form verdict alone: with a record whose block identity
+        # holds for any norm, hn_determinant_check decides whether the norm
+        # squares to 1 - (4t)**(2k) with constant term 1.  Candidates: the
+        # true norm and its negation, each also with +-1 at every index;
+        # the negation squares to the same series and must still fail.
+        one, circulant_norm = TruncatedSeries.one, circulant._circulant_norm
+        verdicts = []
+        for order in range(1, 4 * k + 3):
+            true = circulant_norm(LoopModel(1, order).reciprocal_loop_gf(), 2 * k)
+            candidates = []
+            for base in (true, -true):
+                candidates.append(base)
+                for i in range(order):
+                    for delta in (1, -1):
+                        candidates.append(base + TruncatedSeries.monomial(delta, i, order))
+            for norm in candidates:
+                monkeypatch.setattr(circulant, "_circulant_norm", lambda f, n: norm)
+                monkeypatch.setattr(circulant, "_staircase", lambda *args: {
+                    "escaping": one(order), "restriction": norm})
+                want = closed_form_by_product(norm, k)
+                assert hn_determinant_check(k, order) == want, (order, norm)
+                verdicts.append(want)
+        assert True in verdicts and False in verdicts
 
 
 class TestDeterminantChain:

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import payload_to_series
-from lattice_gf import cli, loops
+from helpers import closed_form_detail, payload_to_series
+from lattice_gf import circulant, cli, loops
 from lattice_gf.cli import main, series_to_payload
-from lattice_gf.periodic import PeriodicSet
+from lattice_gf.loops import LoopModel, geometric_sum
+from lattice_gf.periodic import PeriodicSet, hajnal_nagy_set
 from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import restricted_path_gf
 
@@ -51,15 +52,16 @@ def run_cli(capsys, *argv):
 def corrupt_closed_form(monkeypatch):
     """Make ``verify-hn``'s closed form wrong by one at index
     ``min(2k, order - 1)``, the first index where the staircase series and
-    its closed form can differ, so the check has to report a failure."""
-    original = cli.inv_sqrt_one_minus_monomial
+    its closed form can differ, so the check has to report a failure.  The
+    closed form is compared in ``u = t**(2k)``, where that is index 1."""
+    original = cli.half_power_coeffs
 
-    def corrupted(coeff, exponent, order):
-        coeffs = list(original(coeff, exponent, order).coeffs)
-        coeffs[min(exponent, order - 1)] += 1
-        return TruncatedSeries(coeffs)
+    def corrupted(base, sign, count):
+        coeffs = original(base, sign, count)
+        coeffs[min(1, count - 1)] += 1
+        return coeffs
 
-    monkeypatch.setattr(cli, "inv_sqrt_one_minus_monomial", corrupted)
+    monkeypatch.setattr(cli, "half_power_coeffs", corrupted)
 
 
 class TestSerialization:
@@ -499,6 +501,183 @@ class TestPinnedText:
         if case == "verify-hn-corrupt":
             corrupt_closed_form(monkeypatch)
         assert run_cli(capsys, *argv) == (want_code, want_out, want_err)
+
+
+def wrong_escaping_weight(monkeypatch):
+    """Escaping series of weight ``4**d + 1``: ``E - 1/L = 4**d t E`` fails."""
+    monkeypatch.setattr(LoopModel, "escaping_gf", lambda self: geometric_sum(
+        self.reciprocal_loop_gf().coeffs, 4**self.dim + 1))
+
+
+def wrong_substituted_determinant(monkeypatch):
+    """The column-substituted quarter determinant plus ``t**(2k)``, in its
+    class 0 mod ``2k``; the escaping quarter it is compared with is kept."""
+    missing = circulant._Staircase.__missing__
+
+    def corrupted(record, name):
+        value = missing(record, name)
+        if name == "substituted":
+            quarter = record.quarters[name]
+            value = record[name] = value + TruncatedSeries.monomial(
+                1, quarter.period, quarter.order)
+        return value
+
+    monkeypatch.setattr(circulant._Staircase, "__missing__", corrupted)
+
+
+def wrong_cramer_target(monkeypatch):
+    """The solved walk series plus ``t**(2k)``, which changes its even
+    multisection and nothing in the staircase record."""
+    solve = circulant.restricted_path_gf
+    monkeypatch.setattr(circulant, "restricted_path_gf", lambda dim, restriction, r, order: (
+        solve(dim, restriction, r, order)
+        + TruncatedSeries.monomial(1, restriction.period, order)))
+
+
+def wrong_circulant_norm(monkeypatch):
+    """The full circulant determinant off by one at ``t**(2k)``."""
+    norm = circulant._circulant_norm
+    monkeypatch.setattr(circulant, "_circulant_norm", lambda f, n: (
+        norm(f, n) + TruncatedSeries.monomial(1, n, f.order)))
+
+
+class TestPinnedFailures:
+    """Full stdout and exit code of ``verify-circulant --dim 1`` with one side
+    of one identity made wrong.  The escaping series of weight ``w = 4**d +
+    1`` still has ``E - 1/L = w t E``, which is all the column substitution
+    uses, so only that line passes in the row-relation case."""
+
+    ARGV = ("verify-circulant", "--dim", "1", "--k-max", "2", "--order", "10")
+    CASES = {
+        "row-relation": (
+            wrong_escaping_weight,
+            "dim=1 k=1 row relation FAIL\n"
+            "dim=1 k=1 column substitution PASS\n"
+            "dim=1 k=1 cramer ratio FAIL\n"
+            "dim=1 k=1 determinant chain FAIL\n"
+            "dim=1 k=2 row relation FAIL\n"
+            "dim=1 k=2 column substitution PASS\n"
+            "dim=1 k=2 cramer ratio FAIL\n"
+            "dim=1 k=2 determinant chain FAIL\n"
+            "verify-circulant: FAILURES found\n",
+        ),
+        "column-substitution": (
+            wrong_substituted_determinant,
+            "dim=1 k=1 row relation PASS\n"
+            "dim=1 k=1 column substitution FAIL\n"
+            "dim=1 k=1 cramer ratio PASS\n"
+            "dim=1 k=1 determinant chain PASS\n"
+            "dim=1 k=2 row relation PASS\n"
+            "dim=1 k=2 column substitution FAIL\n"
+            "dim=1 k=2 cramer ratio PASS\n"
+            "dim=1 k=2 determinant chain PASS\n"
+            "verify-circulant: FAILURES found\n",
+        ),
+        "cramer-ratio": (
+            wrong_cramer_target,
+            "dim=1 k=1 row relation PASS\n"
+            "dim=1 k=1 column substitution PASS\n"
+            "dim=1 k=1 cramer ratio FAIL\n"
+            "dim=1 k=1 determinant chain PASS\n"
+            "dim=1 k=2 row relation PASS\n"
+            "dim=1 k=2 column substitution PASS\n"
+            "dim=1 k=2 cramer ratio FAIL\n"
+            "dim=1 k=2 determinant chain PASS\n"
+            "verify-circulant: FAILURES found\n",
+        ),
+        "determinant-chain": (
+            wrong_circulant_norm,
+            "dim=1 k=1 row relation PASS\n"
+            "dim=1 k=1 column substitution PASS\n"
+            "dim=1 k=1 cramer ratio PASS\n"
+            "dim=1 k=1 determinant chain FAIL\n"
+            "dim=1 k=2 row relation PASS\n"
+            "dim=1 k=2 column substitution PASS\n"
+            "dim=1 k=2 cramer ratio PASS\n"
+            "dim=1 k=2 determinant chain FAIL\n"
+            "verify-circulant: FAILURES found\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_pinned(self, capsys, monkeypatch, case):
+        corrupt, want_out = self.CASES[case]
+        corrupt(monkeypatch)
+        assert run_cli(capsys, *self.ARGV) == (1, want_out, "")
+
+
+class TestClosedFormCheck:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_u_sections_match_the_index_by_index_form(self, monkeypatch, k):
+        # The u = t**(2k) sections against half_power_coeffs, and the whole
+        # multisection against the closed form from binomials, give the same
+        # verdict and detail: on the solved series and its negation, each
+        # also with +-1 at every index.
+        solve = restricted_path_gf
+        verdicts = []
+        for order in range(1, 4 * k + 3):
+            solved = solve(1, hajnal_nagy_set(k), 0, order)
+            candidates = []
+            for base in (solved, -solved):
+                candidates.append(base)
+                for i in range(order):
+                    for delta in (1, -1):
+                        candidates.append(base + TruncatedSeries.monomial(delta, i, order))
+            for series in candidates:
+                monkeypatch.setattr(cli, "restricted_path_gf", lambda *args: series)
+                want = closed_form_detail(series, k)
+                assert cli._closed_form_check(k, order) == want, (order, series)
+                verdicts.append(want[0])
+        assert True in verdicts and False in verdicts
+
+
+@pytest.fixture
+def digit_limit():
+    """Run with the interpreter's default limit of 4300 digits on int-to-str
+    conversion, whatever the environment sets, and restore the old one."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+@pytest.mark.usefixtures("digit_limit")
+class TestLongCoefficients:
+    # Walks of length 2j on the full set in dim 4 number 4**(4j), which has
+    # more than 4300 digits from j = 1786 on.
+    ARGV = ("gf", "--dim", "4", "--residues", "0", "--period", "1", "--order", "1800")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_every_digit_printed(self, capsys, fmt):
+        code, out, err = run_cli(capsys, *self.ARGV, "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            numerators = [item["n"] for item in json.loads(out)["coefficients"]]
+        else:
+            numerators = [row[2] for row in csv.reader(io.StringIO(out))][1:]
+        sys.set_int_max_str_digits(0)
+        assert numerators == [str(4 ** (4 * j)) for j in range(1800)]
+
+    @pytest.mark.parametrize("argv, want_code", [
+        (("gf", "--dim", "1", "--residues", "0", "--period", "2", "--order", "3"), 0),
+        (("verify-hn", "--k-max", "1", "--order", "4"), 1),
+        (("gf", "--dim", "1", "--residues", "0", "--period", "2", "--order", "0"), 2),
+        (("compare", "--dim", "2", "--residues", "0", "--period", "2", "--order", "700"), 3),
+    ])
+    def test_limit_restored_on_every_exit(self, capsys, monkeypatch, argv, want_code):
+        if want_code == 1:
+            corrupt_closed_form(monkeypatch)
+        sys.set_int_max_str_digits(5000)
+        assert run_cli(capsys, *argv)[0] == want_code
+        assert sys.get_int_max_str_digits() == 5000
+
+    def test_argument_parsing_keeps_the_limit(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGV[:-1], "9" * 5000)
+        assert (code, out) == (2, "")
+        assert "argument --order: invalid int value" in err
+        assert sys.get_int_max_str_digits() == 4300
 
 
 class TestUnwritableOut:

@@ -175,3 +175,11 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_only_the_cli_changes_the_digit_limit():
+    # The library changes no interpreter state; the CLI lifts the limit on
+    # int-to-str conversion for one subcommand and restores it.
+    callers = [path.name for path in SOURCES
+               if "set_int_max_str_digits" in set(referenced_names(path))]
+    assert callers == ["cli.py"]

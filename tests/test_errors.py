@@ -20,7 +20,6 @@ from lattice_gf import (
     escaping_circulant,
     hajnal_nagy_set,
     hn_determinant_check,
-    inv_sqrt_one_minus_monomial,
     restricted_path_gf,
     restriction_circulant,
     row_relation_check,
@@ -58,9 +57,6 @@ def _rows():
     yield "one", TruncatedSeries.one, "truncation order", 1
     yield "multisection.q", lambda v: SERIES.multisection(v, 0), "multisection modulus", 1
     yield "multisection.r", lambda v: SERIES.multisection(2, v), "multisection residue", None
-    yield "inv_sqrt.coeff", lambda v: inv_sqrt_one_minus_monomial(v, 2, 4), "coefficient", None
-    yield "inv_sqrt.exponent", lambda v: inv_sqrt_one_minus_monomial(16, v, 4), "exponent", 1
-    yield "inv_sqrt.order", lambda v: inv_sqrt_one_minus_monomial(16, 2, v), "truncation order", 1
     for f in (restriction_circulant, escaping_circulant, row_relation_check):
         yield f"{f.__name__}.dim", lambda v, f=f: f(v, 2, 4), "dimension", 1
         yield f"{f.__name__}.n", lambda v, f=f: f(1, v, 4), "circulant size", 1

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from lattice_gf.series import (
     TruncatedSeries,
     half_power_coeffs,
-    inv_sqrt_one_minus_monomial,
     quotient_coeffs,
 )
 
@@ -229,15 +228,6 @@ class TestExactness:
         with pytest.raises(TypeError):
             TruncatedSeries([1, 2]) * value
 
-    def test_inverse_square_root_integral_when_four_divides(self):
-        assert all_int(inv_sqrt_one_minus_monomial(4 ** 4, 4, 13))
-        assert all_int(inv_sqrt_one_minus_monomial(-8, 3, 13))
-
-    @pytest.mark.parametrize("coeff", [2, 1, -6, 4 ** 4 + 2])
-    def test_inverse_square_root_refuses_rational_expansion(self, coeff):
-        with pytest.raises(ValueError, match=f"coefficient {coeff} is not a multiple of 4"):
-            inv_sqrt_one_minus_monomial(coeff, 1, 3)
-
     @given(int_pair_st())
     def test_int_product_and_inverse_match_fraction_arithmetic(self, pair):
         a, b = pair
@@ -335,45 +325,34 @@ class TestMultisection:
 
 
 class TestInverseSquareRoot:
+    """The ``sign = -1`` case of ``half_power_coeffs``, the expansion of
+    ``(1 - 4 base x) ** (-1/2)``."""
+
     def test_against_binomial_series(self):
         order = 12
         root = TruncatedSeries(sqrt_one_minus_4t(order))
-        inv = inv_sqrt_one_minus_monomial(4, 1, order)
-        assert root * inv == TruncatedSeries.one(order)
+        inverse = TruncatedSeries(half_power_coeffs(1, -1, order))
+        assert root * inverse == TruncatedSeries.one(order)
 
     def test_frozen_values(self):
-        assert inv_sqrt_one_minus_monomial(16, 2, 5).coeffs == (1, 0, 8, 0, 96)
-        assert inv_sqrt_one_minus_monomial(4, 1, 5).coeffs == (1, 2, 6, 20, 70)
+        # (1 - 16 u) ** (-1/2), the Hajnal-Nagy closed form for k = 1 in
+        # u = t**2, and (1 - 4t) ** (-1/2), the central binomials.
+        assert half_power_coeffs(4, -1, 3) == [1, 8, 96]
+        assert half_power_coeffs(1, -1, 5) == [1, 2, 6, 20, 70]
 
     def test_square_recovers_geometric(self):
         order = 10
-        inv = inv_sqrt_one_minus_monomial(4, 1, order)
+        inverse = TruncatedSeries(half_power_coeffs(1, -1, order))
         geometric = (TruncatedSeries.one(order)
                      - TruncatedSeries.monomial(4, 1, order)).inverse()
-        assert inv * inv == geometric
+        assert inverse * inverse == geometric
 
-    @given(st.integers(min_value=1, max_value=9),
-           st.integers(min_value=1, max_value=3),
-           st.integers(min_value=2, max_value=10))
+    @given(st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=10))
     @settings(max_examples=40)
-    def test_square_times_base_is_one(self, c, m, order):
-        inv = inv_sqrt_one_minus_monomial(4 * c, m, order)
-        base = TruncatedSeries.one(order) - TruncatedSeries.monomial(4 * c, m, order)
-        assert inv * inv * base == TruncatedSeries.one(order)
-
-    @pytest.mark.parametrize("args, name, kind", [
-        # True would be answered as exponent 1 or order 1, and a float would
-        # reach list repetition.
-        ((16, True, 4), "exponent", "bool"),
-        ((16, 2, True), "truncation order", "bool"),
-        ((16, 2.0, 10), "exponent", "float"),
-        ((16, 2, 2.0), "truncation order", "float"),
-        ((True, 2, 4), "coefficient", "bool"),
-        ((16.0, 2, 4), "coefficient", "float"),
-    ])
-    def test_non_int_arguments_refused(self, args, name, kind):
-        with pytest.raises(TypeError, match=f"^{name} must be an int, not {kind}$"):
-            inv_sqrt_one_minus_monomial(*args)
+    def test_square_times_base_is_one(self, base, count):
+        inverse = TruncatedSeries(half_power_coeffs(base, -1, count))
+        drift = TruncatedSeries.one(count) - TruncatedSeries.monomial(4 * base, 1, count)
+        assert inverse * inverse * drift == TruncatedSeries.one(count)
 
 
 class TestHalfPowerCoeffs:
