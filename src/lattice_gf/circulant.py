@@ -22,7 +22,8 @@ The row relation needs no matrix: the first rows of the two circulants
 are the ``n`` multisections of two series, and it compares the one series
 relation that all ``n`` entry-wise relations cut into classes.  Nor does the
 full determinant: ``_circulant_norm`` takes it from an exact integer
-recurrence on the series itself, so no command eliminates a full circulant.
+recurrence on the series and its inverse, so no command eliminates a full
+circulant.
 
 The three determinant checks of one ``(dim, k, order)`` share one staircase
 record, ``_staircase``: the restriction quarter, the escaping quarter and
@@ -41,11 +42,12 @@ record is read or any system solved.
 """
 
 import functools
+from operator import mul
 
 from .errors import check_int
 from .loops import LoopModel
 from .periodic import hajnal_nagy_set
-from .series import TruncatedSeries, quotient_coeffs
+from .series import TruncatedSeries
 from .system import SeriesMatrix, _circulant_block, restricted_path_gf, series_determinant
 
 # Bound of the _staircase records; one identity-chain pass asks for 9
@@ -143,7 +145,7 @@ def cramer_ratio_check(dim: int, k: int, order: int) -> bool:
     return record["escaping"] == target * record["restriction"]
 
 
-def _circulant_norm(f: TruncatedSeries, n: int) -> TruncatedSeries:
+def _circulant_norm(f: TruncatedSeries, inverse: TruncatedSeries, n: int) -> TruncatedSeries:
     """Determinant of the ``n x n`` circulant of ``f``, with no elimination.
 
     The discrete Fourier transform diagonalises a circulant, so for ``f``
@@ -151,15 +153,18 @@ def _circulant_norm(f: TruncatedSeries, n: int) -> TruncatedSeries:
     G(t**n)``, ``zeta`` running over the ``n``-th roots of unity.  With
     ``D = t f' / f`` the averaged logarithmic derivative gives ``G_0 = 1``
     and ``k G_k = sum_{i=1..k} D_{i n} G_{k-i}``, an exact integer division
-    because ``G`` is a determinant of integer series.  ``D`` comes from
-    ``f D = t f'``, so ``f`` is never inverted.
+    because ``G`` is a determinant of integer series.  Only the sections
+    ``D_{jn}`` are read, each the sum of ``i f_i h_{jn-i}`` over ``h =
+    1/f``, which the caller passes as ``inverse``: about ``order**2 / (2n)``
+    products, and no series is divided.
     """
     check_int("circulant size", n, 1)
     c = f.coeffs
     if c[0] != 1:
         raise ValueError(f"constant term {c[0]} is not 1: the circulant norm needs f(0) = 1")
-    d = quotient_coeffs([k * ck for k, ck in enumerate(c)], c, f.order)
-    sections = d[::n]
+    # D_j = sum_i (i f_i) h_{j-i}, and D_0 = 0.
+    derivative, h = [i * ci for i, ci in enumerate(c)], inverse.coeffs
+    sections = [sum(map(mul, derivative[1 : j + 1], reversed(h[:j]))) for j in range(0, f.order, n)]
     g = [1] * len(sections)
     for k in range(1, len(g)):
         total, rest = divmod(sum(sections[i] * g[k - i] for i in range(1, k + 1)), k)
@@ -183,7 +188,8 @@ def hn_determinant_check(k: int, order: int) -> bool:
     staircase record.
     """
     check_int("k", k, 1)
-    det_full = _circulant_norm(LoopModel(1, order).reciprocal_loop_gf(), 2 * k)
+    model = LoopModel(1, order)
+    det_full = _circulant_norm(model.reciprocal_loop_gf(), model.loop_gf(), 2 * k)
     record = _staircase(1, k, order)
     block_identity = record["escaping"] * det_full == record["restriction"]
     # A square root with constant term 1 is unique modulo t**order, so the

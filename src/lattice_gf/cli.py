@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 from . import oracle
@@ -305,29 +306,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _brief(message: str, limit) -> str:
+    """``message`` with each integer of more than ``limit`` digits, too long
+    for the interpreter to print, given by its digit count."""
+    if not limit:
+        return message
+    return re.sub(rf"\d{{{limit + 1},}}", lambda m: f"({len(m[0])} digits)", message)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    # A coefficient may have any number of digits, so the subcommand runs
-    # without the interpreter's limit on int-to-str conversion (Python
-    # 3.10.7 and later); argument parsing keeps it, and it is restored.
+    # An option or a coefficient may have any number of digits, so parsing
+    # and the subcommand run without the interpreter's limit on int-to-str
+    # conversion (Python 3.10.7 and later).  It is restored on every exit,
+    # and a refusal gives the digit count of an integer past it.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else 0
         # The one --order check; every subcommand takes --order.
         check_int("--order", args.order, 1)
         code = args.func(args)
         sys.stdout.flush()
         return code
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_brief(str(exc), limit)}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+        print(f"resource limit: {_brief(str(exc), limit)}", file=sys.stderr)
         return 3
     except OSError as exc:
         target = getattr(args, "out", "-")

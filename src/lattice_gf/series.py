@@ -151,8 +151,6 @@ class TruncatedSeries:
         add_product_coeffs(out, self.coeffs, other.coeffs)
         return TruncatedSeries(out)
 
-    __rmul__ = __mul__
-
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse in the truncated ring.
 

@@ -29,50 +29,57 @@ one kernel ``_eliminate``, shared by ``solve_linear_system``,
 ``series_determinant`` and ``_Solved``, works on ``u``-coefficients
 throughout.  Pivots are never inverted: each elimination
 factor and each step of back substitution is one exact quotient by a
-pivot, ``series.quotient_coeffs``, which costs what an inverse would; a
-dense right-hand side divides by the pivot placed back in ``t``.  The kernel
-keeps every pivot negated on the diagonal and every factor negated in the
-slot below the diagonal that it clears, so a right-hand side is reduced
-afterwards by a forward pass through the kept factors, and every update
-adds a product into the entry in place with ``series.add_product_coeffs``.
+pivot, ``series.quotient_coeffs``, which costs what an inverse would.  The
+kernel keeps every pivot negated on the diagonal and every factor negated
+in the slot below the diagonal that it clears, so a right-hand side is
+reduced afterwards by a forward pass through the kept factors, and every
+update adds a product into the entry in place.
 
-The same series also follow from the forbidden residues ``S``, through the
-loop series ``L`` itself.  Over all residues write ``C(f)`` for the matrix
-with entry ``(r, q)`` equal to ``multisection(f, period, shift(r, q))``.
-Classes add under multiplication, so ``C(f) C(g) = C(f g)``, and
-``A = C(1/L)`` and ``B = C(L)`` are inverse to each other.  The rows of
-``A`` sum to ``1/L``, so ``E_inf = A 1 / (1 - 4**d t)`` with ``1`` the
-all-ones vector, and with ``x = (1 - 4**d t) P`` the equations for the
-admissible residues ``R`` read
+Over all residues write ``C(f)`` for the matrix with entry ``(r, q)`` equal
+to ``multisection(f, period, shift(r, q))``.  Classes add under
+multiplication, so ``C(f) C(g) = C(f g)``, and ``A = C(1/L)`` and ``B =
+C(L)`` are inverse to each other.  The rows of ``A`` sum to ``1/L``, so
+``E_inf = A 1 / (1 - 4**d t)`` with ``1`` the all-ones vector, and with ``x
+= (1 - 4**d t) P`` the equations for the admissible residues ``R`` read
 
     A_RR x_R = A_RR 1_R + A_RS 1_S.
 
-Block ``(R, S)`` of ``A B = I`` is ``A_RR B_RS + A_RS B_SS = 0``, hence
-``A_RR^-1 A_RS = -B_RS B_SS^-1`` (Jacobi's complementary minors), and
+The reciprocal route solves ``z = A_RR^-1 A_RS 1_S`` and takes ``P_R = (1_R
++ z) / (1 - 4**d t)``.  Entry ``r`` of ``A_RS 1_S`` is ``1/L`` on the ``k =
+|S|`` classes ``S - r``, and entry ``(r, q)`` of ``A_RR`` moves class ``S -
+q`` onto ``S - r``, so entry ``r`` of ``z`` stays on those ``k`` classes
+from start to end: ``build_system`` and ``solve_linear_system`` keep only
+its coefficients there, in ``t`` order, and each product of the solve is
+one slice pass ``_add_dense_product`` over about ``k order / period`` of
+them.  Block ``(R, S)`` of ``A B = I`` is ``A_RR B_RS + A_RS B_SS = 0``,
+hence ``A_RR^-1 A_RS = -B_RS B_SS^-1`` (Jacobi's complementary minors), and
 
     P_R = (1_R - B_RS B_SS^-1 1_S) / (1 - 4**d t).
 
-The complement route takes the transposed solve ``W = B_SS^-T B_RS^T``,
-so that entry ``r`` of ``B_RS B_SS^-1 1_S`` is the sum over ``s`` of
-``W_sr``.  ``W_sr`` lives on the single class ``s - r``, so the parts
-interleave in ``P_r`` without any addition.  ``B_SS^T`` is rows and
-columns ``-S`` of the period circulant of ``L``, and column ``r`` of
-``B_RS^T`` is column ``-r`` of the same circulant on rows ``-S``:
-``_circulant_block`` builds the block and the one kernel factors it.  Each
-residue is its own right-hand side (the transposition principle; Bostan,
-Lecerf and Schost, "Tellegen's principle into practice", ISSAC 2003), so
-the cache entry ``_Solved`` keeps the factors and solves one residue by a
-forward pass of its column and back substitution in ``u``, without touching
-the others.  No series is inverted, no product runs over all ``order``
-coefficients, and with one forbidden residue each walk series is a single
-division.  A full set, ``S`` empty, needs no solve at all and gives
-``4**(d j)``.
+The complement route is the mirror image over the forbidden residues ``S``.
+It takes the transposed solve ``W = B_SS^-T B_RS^T``, so that entry ``r`` of
+``B_RS B_SS^-1 1_S`` is the sum over ``s`` of ``W_sr``.  ``W_sr`` lives on
+the single class ``s - r``, so the parts interleave in ``P_r`` without any
+addition.  ``B_SS^T`` is rows and columns ``-S`` of the period circulant of
+``L``, and column ``r`` of ``B_RS^T`` is column ``-r`` of the same
+circulant on rows ``-S``: ``_circulant_block`` builds the block and the one
+kernel factors it.  Each residue is its own right-hand side (the
+transposition principle; Bostan, Lecerf and Schost, "Tellegen's principle
+into practice", ISSAC 2003), so the cache entry ``_Solved`` keeps the
+factors and solves one residue by a forward pass of its column and back
+substitution in ``u``, without touching the others.  With ``n = |R|``, the
+reciprocal route takes about ``n**3 / 3 + n**2 k`` entry operations and the
+complement route ``k**3 / 3 + n k**2``.  Neither inverts a series or runs
+a product over all ``order`` coefficients, and with one forbidden residue
+each walk series is a single division.  A full set, ``S`` empty, needs no
+solve at all and gives ``4**(d j)``.
 
 ``_solution_entry`` keeps one ``_Solved`` entry per solved set and chooses
 the route of a cold solve by the counted cost of ``_route_costs``; its
 docstring states the cache rule.
 """
 
+from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Sequence
 
@@ -114,13 +121,14 @@ class SeriesMatrix:
         return len(self.rows)
 
 
-def _add_dense_product(out: list, shift: int, f, dense: list, period: int) -> None:
-    """Add ``t**shift * f(t**period)`` times a dense coefficient list of the
-    length of ``out`` to ``out``: one slice pass per nonzero coefficient of
-    ``f``."""
+def _add_dense_product(out: list, shift: int, f, dense: list, stride: int) -> None:
+    """Add ``f(u)`` times a coefficient list of the length of ``out`` to
+    ``out``, where one power of ``u`` moves ``stride`` indices and the
+    product starts ``shift`` indices in: one slice pass per nonzero
+    coefficient of ``f``."""
     for k, fk in enumerate(f):
         if fk:
-            e = shift + period * k
+            e = shift + stride * k
             out[e:] = [x + fk * y for x, y in zip(out[e:], dense)]
 
 
@@ -198,55 +206,72 @@ def _circulant_block(series: TruncatedSeries, period: int, labels) -> SeriesMatr
 
 
 def build_system(dim: int, restriction: PeriodicSet, order: int):
-    """The coefficient matrix and right-hand side of the return decomposition.
+    """The reciprocal route's system ``A_RR z = A_RS 1_S``.
 
     Rows and columns follow ``restriction.residues``, which also grade the
     matrix with ``restriction.period``.  Entry ``(r, q)`` is the
     ``shift(r, q)`` multisection of the reciprocal loop series.  Diagonal
     entries have constant term 1 and off-diagonal entries constant term 0,
-    which is what lets the solver skip pivot search.
+    which is what lets the solver skip pivot search.  Entry ``r`` of the
+    right-hand side is ``1/L`` on the classes ``c`` with ``r + c``
+    forbidden, taken below ``min(period, order)`` from the restriction, in
+    the form ``solve_linear_system`` takes.
     """
-    model = LoopModel(dim, order)
-    matrix = _circulant_block(
-        model.reciprocal_loop_gf(), restriction.period, restriction.residues
-    )
-    return matrix, [model.escaping_gf()] * restriction.size
+    reciprocal = LoopModel(dim, order).reciprocal_loop_gf()
+    period, residues = restriction.period, restriction.residues
+    admissible = set(residues)
+    rhs = [
+        ([c for c in range(min(period, order)) if (r + c) % period not in admissible],
+         [x for e, x in enumerate(reciprocal.coeffs) if (r + e) % period not in admissible])
+        for r in residues
+    ]
+    return _circulant_block(reciprocal, period, residues), rhs
 
 
-def solve_linear_system(
-    matrix: SeriesMatrix, rhs: Sequence[TruncatedSeries]
-) -> list[TruncatedSeries]:
+def solve_linear_system(matrix: SeriesMatrix, rhs: Sequence) -> list[list]:
     """Gaussian elimination over the series ring, no pivot search.
 
     Every pivot must be a unit (constant term +-1); for the systems built
-    here the diagonal keeps constant term 1 throughout elimination.  The
-    right-hand side is dense: a forward pass through the kept factors
-    reduces its negation, and back substitution adds into each reduced
-    entry and divides it once by its negated pivot, placed at every
-    ``period``-th index.
+    here the diagonal keeps constant term 1 throughout elimination.  Entry
+    ``i`` of the right-hand side is a pair: its ``k`` sorted classes below
+    ``min(period, order)``, and its coefficients on them in ``t`` order,
+    that of ``t**(c_a + period m)`` at index ``a + k m``; a dense series
+    has all classes.  Entry ``(j, i)`` of the matrix must move the classes
+    of entry ``i`` onto those of entry ``j``, as in ``build_system``.  The
+    move rotates the sorted list by the classes of entry ``j`` below the
+    class of ``(j, i)``, the images that carried, so each product is one
+    ``_add_dense_product`` with stride ``k``.  A forward pass through the
+    kept factors reduces the negated right-hand side, and back substitution
+    adds into each reduced entry and divides it once by its negated pivot,
+    placed at every ``k``-th index.  Returns the solution's coefficients on
+    the classes of the right-hand side.
     """
-    n, order = matrix.n, matrix.order
+    n, order, period = matrix.n, matrix.order, matrix.period
     if len(rhs) != n:
         raise ValueError("right-hand side length does not match the matrix")
-    if any(series.order != order for series in rhs):
+    if any(len(coeffs) != sum(len(range(c, order, period)) for c in support)
+           for support, coeffs in rhs):
         raise ValueError("right-hand side order does not match the matrix")
     rows = _eliminate(matrix)
-    period, classes = matrix.period, matrix.classes
+    supports = [support for support, _ in rhs]
+    shifts = [[bisect_left(supports[j], c) for c in row] for j, row in enumerate(matrix.classes)]
     # The negated right-hand side, so that back substitution divides by the
     # negated pivots as they stand and every product adds.
-    vec = [[-x for x in series.coeffs] for series in rhs]
+    vec = [[-x for x in coeffs] for _, coeffs in rhs]
     for i in range(n):
         for j in range(i + 1, n):
-            _add_dense_product(vec[j], classes[j][i], rows[j][i], vec[i], period)
+            _add_dense_product(vec[j], shifts[j][i], rows[j][i], vec[i], len(supports[j]))
     for i in reversed(range(n)):
         # (y_i - sum_m U_im x_m) / U_ii as -y_i + sum_m U_im x_m over the
-        # negated pivot, a series in u = t**period placed back in t.
+        # negated pivot, a series in u placed back at every k-th index.
+        k = len(supports[i])
         for m in range(i + 1, n):
-            _add_dense_product(vec[i], classes[i][m], rows[i][m], vec[m], period)
-        pivot = [0] * order
-        pivot[::period] = rows[i][i]
-        vec[i] = quotient_coeffs(vec[i], pivot, order)
-    return [TruncatedSeries(coeffs) for coeffs in vec]
+            _add_dense_product(vec[i], shifts[i][m], rows[i][m], vec[m], k)
+        if vec[i]:
+            pivot = [0] * (k * len(rows[i][i]))
+            pivot[::k] = rows[i][i]
+            vec[i] = quotient_coeffs(vec[i], pivot, len(vec[i]))
+    return vec
 
 
 class RestrictedPathSolution:
@@ -291,11 +316,11 @@ def _route_costs(dim: int, restriction: PeriodicSet, order: int) -> tuple:
 
     - The reciprocal route is charged ``(n**3 + 2 n) / 3`` entry products
       each with a pass of ``m`` elements, and ``n**2`` products with a
-      dense right-hand side: ``m`` slice passes of up to ``order`` elements
-      each, and one pass of ``order`` elements.  It makes ``(n**3 - n) / 3``
-      graded entry quotients and products, ``n`` fewer than charged, and
-      ``n (n-1)`` dense products and ``n`` dense divisions, each about the
-      work of a dense product, for the ``n**2`` charged.  In
+      right-hand side entry on ``k`` classes: ``m`` slice passes of up to
+      ``k m`` elements each, and one pass of ``k m`` elements.  It makes
+      ``(n**3 - n) / 3`` graded entry quotients and products, ``n`` fewer
+      than charged, and ``n (n-1)`` such products and ``n`` divisions,
+      each about the work of a product, for the ``n**2`` charged.  In
       dimensions 2 to 4 it first inverts the loop series, ``order**2 / 2``
       products in ``order`` passes, unless ``loops`` already holds ``1/L``
       at this order.
@@ -309,7 +334,10 @@ def _route_costs(dim: int, restriction: PeriodicSet, order: int) -> tuple:
     cost of each product and each element.
     """
     n, period = restriction.size, restriction.period
-    k, m = period - n, order / period
+    k = period - n
+    # k * m as one quotient of ints, which stays below the order even for a
+    # k past the float range.
+    m, km = order / period, k * order / period
     big = (dim * order / BIG_LENGTH) ** 2
 
     def cost(products, calls, elements):
@@ -319,7 +347,7 @@ def _route_costs(dim: int, restriction: PeriodicSet, order: int) -> tuple:
     products, calls = entries * m * m / 2, entries + n * n * m
     if not has_reciprocal(dim, order):
         products, calls = products + order * order / 2, calls + order
-    reciprocal = cost(products, calls, m * entries + n * n * order * (m / 2 + 1))
+    reciprocal = cost(products, calls, m * entries + n * n * km * (m / 2 + 1))
     if not k:
         return reciprocal, 0
     try:
@@ -349,19 +377,22 @@ class _Solved:
 
     def __init__(self, dim: int, restriction: PeriodicSet, order: int, complement: bool):
         self.order, self.series, self.size = order, {}, restriction.size
+        self.period, self.weight = restriction.period, 4**dim
         self.loop = self.rows = None
         if not complement:
-            solved = solve_linear_system(*build_system(dim, restriction, order))
-            for residue, series in zip(restriction.residues, solved):
-                self._keep(residue, series)
+            matrix, rhs = build_system(dim, restriction, order)
+            solved = solve_linear_system(matrix, rhs)
+            for residue, (classes, _), z in zip(restriction.residues, rhs, solved):
+                k = len(classes)
+                self._keep(residue, self._from_parts((c, z[a::k]) for a, c in enumerate(classes)))
             return
-        period = self.period = restriction.period
+        period = self.period
         k = period - restriction.size
         if k > MAX_ORDER:
             raise ResourceLimitError(f"{k} forbidden residues exceed the bound {MAX_ORDER}")
         admissible = set(restriction.residues)
         self.forbidden = [s for s in range(period) if s not in admissible]
-        self.weight, self.loop, self.rows = 4**dim, (), []
+        self.loop, self.rows = (), []
         if k:
             loop = LoopModel(dim, order).loop_gf()
             self.loop = loop.coeffs
@@ -379,6 +410,15 @@ class _Solved:
             self.loop = self.rows = None
         return series
 
+    def _from_parts(self, parts) -> TruncatedSeries:
+        """``P_r = (1 + sum of parts) / (1 - 4**d t)`` from ``(class,
+        u-coefficients)`` parts on distinct classes other than 0, which
+        interleave without any addition."""
+        acc = [1] + [0] * (self.order - 1)
+        for c, part in parts:
+            acc[c :: self.period] = part
+        return geometric_sum(acc, self.weight)
+
     def _solve(self, r: int) -> TruncatedSeries:
         """``P_r``: ``1 - sum_s W_sr`` over ``1 - 4**d t``, with ``W_sr`` on
         class ``s - r``.  Column ``r`` of ``B_RS^T`` holds class ``s - r`` of
@@ -393,15 +433,13 @@ class _Solved:
             for j in range(i + 1, k):
                 # Classes q - s and s - r add to q - r.
                 add_product_coeffs(column[j], rows[j][i], column[i], classes[i] > classes[j])
-        acc = [1] + [0] * (self.order - 1)
         for i in reversed(range(k)):
             # -W_sr: the reduced entry plus row i times the kept -W_qr, over
             # the negated pivot.
             for m in range(i + 1, k):
                 add_product_coeffs(column[i], rows[i][m], column[m], classes[m] > classes[i])
             column[i] = quotient_coeffs(column[i], rows[i][i], len(column[i]))
-            acc[classes[i] :: period] = column[i]
-        return geometric_sum(acc, self.weight)
+        return self._from_parts(zip(classes, column))
 
     def walk_series(self, residue: int, order: int) -> TruncatedSeries:
         """The series of an admissible residue to ``order``, at most the

@@ -25,10 +25,12 @@ solve, by multisection, and ``one_forbidden_closed_form`` solves a set with
 one forbidden residue by hand.  ``sets_up_to_rotation`` lists the periodic
 sets of small periods for grid tests.  ``load_benchmark_module`` imports a
 file of ``perfbench/`` for the tests that pin what the benchmark reaches.
-``solve_complement`` is no independent oracle: it runs the library's
-complement route for every admissible residue, whatever route the solution
-cache would take, as the reference that the cache and the reciprocal route
-are compared with.
+``solve_complement`` and ``solve_reciprocal`` are no independent oracles:
+they run one of the library's two routes for every admissible residue,
+whatever route the solution cache would take, so that the routes and the
+cache are compared with each other.  ``solve_dense`` runs
+``solve_linear_system`` on dense series, the all-classes case, and
+``spread`` places a solver vector kept on a few classes back in ``t``.
 """
 
 import importlib.util
@@ -41,7 +43,13 @@ from lattice_gf.loops import LoopModel
 from lattice_gf.oracle import count_odd_length
 from lattice_gf.periodic import PeriodicSet
 from lattice_gf.series import TruncatedSeries
-from lattice_gf.system import SeriesMatrix, _Solved, build_system, solve_restricted
+from lattice_gf.system import (
+    SeriesMatrix,
+    _Solved,
+    build_system,
+    solve_linear_system,
+    solve_restricted,
+)
 
 
 def catalan(n: int) -> int:
@@ -198,6 +206,34 @@ def solve_complement(
     return [entry.walk_series(r, order) for r in restriction.residues]
 
 
+def solve_reciprocal(
+    dim: int, restriction: PeriodicSet, order: int
+) -> list[TruncatedSeries]:
+    """Walk series of every admissible residue on the reciprocal route, in
+    the order of ``restriction.residues``: one solve of ``A_RR z = A_RS
+    1_S`` by ``build_system`` and ``solve_linear_system``."""
+    entry = _Solved(dim, restriction, order, False)
+    return [entry.walk_series(r, order) for r in restriction.residues]
+
+
+def solve_dense(matrix: SeriesMatrix, rhs) -> list[TruncatedSeries]:
+    """``solve_linear_system`` with every right-hand side entry a dense
+    series, on all classes below ``min(period, order)``."""
+    support = range(min(matrix.period, matrix.order))
+    solved = solve_linear_system(matrix, [(support, series.coeffs) for series in rhs])
+    return [TruncatedSeries(coeffs) for coeffs in solved]
+
+
+def spread(support, coeffs, period: int, order: int) -> TruncatedSeries:
+    """The series in ``t`` of a solver vector on the sorted classes
+    ``support``, walking the exponents below ``order`` one by one."""
+    values = iter(coeffs)
+    out = [next(values) if e % period in support else 0 for e in range(order)]
+    if next(values, None) is not None:
+        raise ValueError("coefficients left over past the order")
+    return TruncatedSeries(out)
+
+
 def reduction_check(
     dim: int, restriction: PeriodicSet, anchor: int, slot: int, order: int
 ) -> bool:
@@ -217,7 +253,8 @@ def reduction_check(
     if not 0 <= slot < period:
         raise ValueError(f"slot {slot} outside [0, {period})")
     solution = solve_restricted(dim, restriction, order)
-    matrix, escaping_rhs = build_system(dim, restriction, order)
+    matrix, _ = build_system(dim, restriction, order)
+    escaping = LoopModel(dim, order).escaping_gf()
     slots = [
         (shift_distance(r, anchor_reduced, period) + slot) % period
         for r in restriction.residues
@@ -226,7 +263,7 @@ def reduction_check(
         solution.series[r].multisection(period, l)
         for r, l in zip(restriction.residues, slots)
     ]
-    rhs = [series.multisection(period, l) for series, l in zip(escaping_rhs, slots)]
+    rhs = [escaping.multisection(period, l) for l in slots]
     return mul_vec(entry_series(matrix), vec) == rhs
 
 

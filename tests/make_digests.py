@@ -109,8 +109,9 @@ def circulant_items(dim: int, order: int, period: int):
 
 
 def norm_items(dim: int, order: int, period: int):
-    reciprocal = LoopModel(dim, order).reciprocal_loop_gf()
-    yield "norm", circulant._circulant_norm(reciprocal, period).coeffs
+    model = LoopModel(dim, order)
+    norm = circulant._circulant_norm(model.reciprocal_loop_gf(), model.loop_gf(), period)
+    yield "norm", norm.coeffs
 
 
 def loop_items(dim: int, order: int, period: int):

@@ -23,6 +23,7 @@ from lattice_gf.series import TruncatedSeries
 from lattice_gf.system import build_system
 
 from helpers import (
+    central_binomial,
     closed_form_by_product,
     entry_series,
     graded_block,
@@ -336,7 +337,7 @@ class TestCirculantNorm:
         for gf, build in ((model.reciprocal_loop_gf(), restriction_circulant),
                           (model.escaping_gf(), escaping_circulant)):
             for n in range(1, 17):
-                assert circulant._circulant_norm(gf, n) == series_determinant(
+                assert circulant._circulant_norm(gf, gf.inverse(), n) == series_determinant(
                     build(dim, n, order)), (n, build.__name__)
 
     def test_sqrt_one_minus_4t_gives_the_collapse(self):
@@ -344,15 +345,19 @@ class TestCirculantNorm:
         # one-dimensional full determinant sqrt(1 - (4t)**(2k)) at n = 2k.
         order = 200
         root = sqrt_one_minus_4t(order)
+        # 1/sqrt(1 - 4t) has the central binomials as coefficients.
+        inverse = TruncatedSeries(central_binomial(j) for j in range(order))
         for n in (1, 2, 3, 4, 7, 12, 16):
             target, count = [0] * order, (order - 1) // n + 1
             target[::n] = [c * 4 ** ((n - 1) * j) for j, c in enumerate(root[:count])]
-            assert circulant._circulant_norm(TruncatedSeries(root), n).coeffs == tuple(target), n
+            assert circulant._circulant_norm(
+                TruncatedSeries(root), inverse, n).coeffs == tuple(target), n
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_divides_once(self, monkeypatch, dim):
-        # D = t f' / f is one call of the division kernel, and nothing else
-        # in the norm divides or inverts a series.
+        # The one division is the inverse of f, which the caller holds
+        # already: the sections of D = t f' / f are read from f and 1/f, and
+        # the norm itself divides and inverts no series.
         calls = []
         quotient = series_module.quotient_coeffs
 
@@ -361,37 +366,39 @@ class TestCirculantNorm:
             return quotient(*args)
 
         monkeypatch.setattr(series_module, "quotient_coeffs", counted)
-        monkeypatch.setattr(circulant, "quotient_coeffs", counted)
+        # circulant imports no division kernel; one imported later is counted.
+        monkeypatch.setattr(circulant, "quotient_coeffs", counted, raising=False)
         model = LoopModel(dim, 40)
-        for f in (model.loop_gf(), model.reciprocal_loop_gf()):
+        for f, inverse in ((model.loop_gf(), model.reciprocal_loop_gf()),
+                           (model.reciprocal_loop_gf(), model.loop_gf())):
             for n in (1, 2, 5):
                 calls.clear()
-                circulant._circulant_norm(f, n)
-                assert [args[1] for args in calls] == [f.coeffs], (n, f)
+                circulant._circulant_norm(f, inverse, n)
+                assert calls == [], (n, f)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_refuses_empty_size(self, n):
         with pytest.raises(ValueError, match="^circulant size must be positive$"):
-            circulant._circulant_norm(TruncatedSeries.one(5), n)
+            circulant._circulant_norm(TruncatedSeries.one(5), TruncatedSeries.one(5), n)
 
     @pytest.mark.parametrize("n", [True, 2.0])
     def test_refuses_non_int_size(self, n):
         name = type(n).__name__
         with pytest.raises(TypeError, match=f"^circulant size must be an int, not {name}$"):
-            circulant._circulant_norm(TruncatedSeries.one(5), n)
+            circulant._circulant_norm(TruncatedSeries.one(5), TruncatedSeries.one(5), n)
 
     @pytest.mark.parametrize("c0", [2, -1])
     def test_refuses_constant_term_other_than_one(self, c0):
         with pytest.raises(ValueError, match=f"^constant term {c0} is not 1: "):
-            circulant._circulant_norm(TruncatedSeries([c0, 1, 0, 3]), 2)
+            circulant._circulant_norm(TruncatedSeries([c0, 1, 0, 3]), TruncatedSeries.one(4), 2)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_wrong_norm_fails_hn_check(self, monkeypatch, k):
         # t**(2k) lies in the class of the full determinant; a norm off by it
         # breaks the block identity and the closed form alike.
         norm = circulant._circulant_norm
-        monkeypatch.setattr(circulant, "_circulant_norm", lambda f, n: (
-            norm(f, n) + TruncatedSeries.monomial(1, n, f.order)))
+        monkeypatch.setattr(circulant, "_circulant_norm", lambda f, inverse, n: (
+            norm(f, inverse, n) + TruncatedSeries.monomial(1, n, f.order)))
         assert not hn_determinant_check(k, 14)
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -404,7 +411,8 @@ class TestCirculantNorm:
         one, circulant_norm = TruncatedSeries.one, circulant._circulant_norm
         verdicts = []
         for order in range(1, 4 * k + 3):
-            true = circulant_norm(LoopModel(1, order).reciprocal_loop_gf(), 2 * k)
+            model = LoopModel(1, order)
+            true = circulant_norm(model.reciprocal_loop_gf(), model.loop_gf(), 2 * k)
             candidates = []
             for base in (true, -true):
                 candidates.append(base)
@@ -412,7 +420,7 @@ class TestCirculantNorm:
                     for delta in (1, -1):
                         candidates.append(base + TruncatedSeries.monomial(delta, i, order))
             for norm in candidates:
-                monkeypatch.setattr(circulant, "_circulant_norm", lambda f, n: norm)
+                monkeypatch.setattr(circulant, "_circulant_norm", lambda f, inverse, n: norm)
                 monkeypatch.setattr(circulant, "_staircase", lambda *args: {
                     "escaping": one(order), "restriction": norm})
                 want = closed_form_by_product(norm, k)

@@ -537,8 +537,8 @@ def wrong_cramer_target(monkeypatch):
 def wrong_circulant_norm(monkeypatch):
     """The full circulant determinant off by one at ``t**(2k)``."""
     norm = circulant._circulant_norm
-    monkeypatch.setattr(circulant, "_circulant_norm", lambda f, n: (
-        norm(f, n) + TruncatedSeries.monomial(1, n, f.order)))
+    monkeypatch.setattr(circulant, "_circulant_norm", lambda f, inverse, n: (
+        norm(f, inverse, n) + TruncatedSeries.monomial(1, n, f.order)))
 
 
 class TestPinnedFailures:
@@ -665,6 +665,7 @@ class TestLongCoefficients:
         (("verify-hn", "--k-max", "1", "--order", "4"), 1),
         (("gf", "--dim", "1", "--residues", "0", "--period", "2", "--order", "0"), 2),
         (("compare", "--dim", "2", "--residues", "0", "--period", "2", "--order", "700"), 3),
+        (("gf", "--no-such-flag"), 2),
     ])
     def test_limit_restored_on_every_exit(self, capsys, monkeypatch, argv, want_code):
         if want_code == 1:
@@ -673,10 +674,15 @@ class TestLongCoefficients:
         assert run_cli(capsys, *argv)[0] == want_code
         assert sys.get_int_max_str_digits() == 5000
 
-    def test_argument_parsing_keeps_the_limit(self, capsys):
-        code, out, err = run_cli(capsys, *self.ARGV[:-1], "9" * 5000)
-        assert (code, out) == (2, "")
-        assert "argument --order: invalid int value" in err
+    @pytest.mark.parametrize("digits", [4300, 5000])
+    def test_long_order_exits_3_in_one_short_line(self, capsys, digits):
+        # Argument parsing runs without the limit too, so an order of any
+        # length is refused like --order 20000.  An integer past the limit
+        # is too long to print, so the refusal gives its digit count.
+        code, out, err = run_cli(capsys, *self.ARGV[:-1], "9" * digits)
+        assert (code, out) == (3, "")
+        order = "9" * digits if digits <= 4300 else f"({digits} digits)"
+        assert err == f"resource limit: truncation order {order} exceeds the bound 10000\n"
         assert sys.get_int_max_str_digits() == 4300
 
 

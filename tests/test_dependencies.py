@@ -67,9 +67,17 @@ def test_no_runtime_dependencies():
 
 def test_benchmark_spans_resolve():
     # The tracer reports zero calls for a wrapped name that is gone, so a
-    # removed public callable would silently empty its span.
+    # removed public callable would silently empty its span.  The one name
+    # removed on purpose is TruncatedSeries.__rmul__: it could never return
+    # a product, because __mul__ refuses every operand that is not a
+    # series, and the series.mul span still wraps __mul__.
+    from lattice_gf.series import TruncatedSeries
+
     for name, places in load_benchmark_module("tracer")._SPANS.items():
         for owner, attr in places:
+            if (owner, attr) == (TruncatedSeries, "__rmul__"):
+                assert not hasattr(owner, attr)
+                continue
             assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
 
 

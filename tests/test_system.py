@@ -4,7 +4,7 @@ import random
 from collections import Counter, OrderedDict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lattice_gf import loops, system
@@ -34,6 +34,9 @@ from helpers import (
     sets_up_to_rotation,
     shift_distance,
     solve_complement,
+    solve_dense,
+    solve_reciprocal,
+    spread,
 )
 
 
@@ -78,8 +81,15 @@ class TestSystemAssembly:
         assert entries[1][0] == -excursions.multisection(
             4, shift_distance(1, 0, 4))
         assert entries[1][1] == one - excursions.multisection(4, 0)
-        escaping = LoopModel(dim=dim, order=order).escaping_gf()
-        assert rhs == [escaping, escaping]
+        # Entry r of A_RS 1_S is 1/L on the classes s - r of the forbidden
+        # s in {2, 3}: {2, 3} from residue 0 and {1, 2} from residue 1.
+        reciprocal = LoopModel(dim=dim, order=order).reciprocal_loop_gf()
+        assert [support for support, _ in rhs] == [[2, 3], [1, 2]]
+        for r, (support, coeffs) in zip((0, 1), rhs):
+            want = TruncatedSeries([0] * order)
+            for s in (2, 3):
+                want = want + reciprocal.multisection(4, shift_distance(r, s, 4))
+            assert spread(support, coeffs, 4, order) == want
 
     @pytest.mark.parametrize("dim, restriction", [
         (1, hajnal_nagy_set(2)),
@@ -126,13 +136,15 @@ class TestSystemAssembly:
         restriction = PeriodicSet((0, 2), 5)
         matrix, rhs = build_system(dim, restriction, order)
         solution = solve_linear_system(matrix, rhs)
-        assert mul_vec(entry_series(matrix), solution) == rhs
+        assert mul_vec(entry_series(matrix), [
+            spread(support, z, 5, order) for (support, _), z in zip(rhs, solution)]) == [
+            spread(*entry, 5, order) for entry in rhs]
 
     def test_identity_solve(self):
         order = 5
         identity = graded_block(identity_matrix(3, order))
         rhs = [TruncatedSeries.monomial(j + 1, j, order) for j in range(3)]
-        assert solve_linear_system(identity, rhs) == rhs
+        assert solve_dense(identity, rhs) == rhs
 
     def test_declared_grading_recorded(self):
         restriction = PeriodicSet((0, 2, 3), 5)
@@ -184,7 +196,7 @@ class TestSystemAssembly:
         t = TruncatedSeries.monomial(1, 1, order)
         matrix = graded_block([[t, zero], [zero, t]])
         with pytest.raises(ArithmeticError):
-            solve_linear_system(matrix, [zero, zero])
+            solve_dense(matrix, [zero, zero])
 
     def test_non_unit_pivot_rejected(self):
         order = 3
@@ -192,13 +204,13 @@ class TestSystemAssembly:
         two = TruncatedSeries.monomial(2, 0, order)
         matrix = graded_block([[one, zero], [zero, two]])
         with pytest.raises(ArithmeticError, match="pivot 1 has constant term 2"):
-            solve_linear_system(matrix, [one, one])
+            solve_dense(matrix, [one, one])
 
     def test_minus_one_pivot_is_a_unit(self):
         order = 4
         minus_one = TruncatedSeries.monomial(-1, 0, order)
         rhs = TruncatedSeries([1, 2, 3, 4])
-        assert solve_linear_system(graded_block([[minus_one]]), [rhs]) == [-rhs]
+        assert solve_dense(graded_block([[minus_one]]), [rhs]) == [-rhs]
 
 
 class TestGradedBlock:
@@ -233,18 +245,22 @@ class TestGradedSolve:
     def test_matches_trivial_grading_and_oracle(self, dim, restriction, order):
         if dim == 3:
             order = min(order, 16)
+        # The graded solve keeps each entry on its classes S - r; the
+        # trivial grading solves the same system on dense series.
         matrix, rhs = build_system(dim, restriction, order)
         assert matrix.period == restriction.period
-        graded = dict(zip(restriction.residues,
-                          (s.coeffs for s in solve_linear_system(matrix, rhs))))
-        dense = dict(zip(restriction.residues, (
-            s.coeffs for s in solve_linear_system(graded_block(entry_series(matrix)), rhs))))
+        period = restriction.period
+        graded = dict(zip(restriction.residues, (
+            spread(support, z, period, order).coeffs
+            for (support, _), z in zip(rhs, solve_linear_system(matrix, rhs)))))
+        dense = dict(zip(restriction.residues, (s.coeffs for s in solve_dense(
+            graded_block(entry_series(matrix)), [spread(*entry, period, order) for entry in rhs]))))
         assert first_difference(graded, dense) is None, first_difference(graded, dense)
         # The oracle prefix is the whole order in one and two dimensions.  In
         # three it stops at half-length 12, inside the default budget on
         # (4 * half_len + 3) ** 3 cells.
         half_len = min(order - 1, {1: 29, 2: 29, 3: 12}[dim])
-        shown = {0: graded[0][: half_len + 1]}
+        shown = {0: solve_reciprocal(dim, restriction, order)[0].coeffs[: half_len + 1]}
         oracle = {0: tuple(count_restricted(dim, restriction, half_len).counts)}
         assert first_difference(shown, oracle) is None, first_difference(shown, oracle)
 
@@ -266,9 +282,10 @@ class TestGradedSolve:
         # Every set of period <= 8 in dim 1 at order period + 3, with n
         # residues: elimination makes n (n-1) / 2 quotients and
         # (n-1) n (2n-1) / 6 entry products, the forward pass and back
-        # substitution n (n-1) dense products, and back substitution one
-        # quotient per pivot, whatever the period.  Each solution still
-        # solves its system.
+        # substitution n (n-1) slice-pass products, and back substitution
+        # one quotient per pivot, whatever the period, unless the set is
+        # full and the right-hand side empty.  Each solution still solves
+        # its system.
         calls = count_kernels(monkeypatch)
         for period in range(1, 9):
             for mask in range(1, 2**period, 2):
@@ -277,9 +294,11 @@ class TestGradedSolve:
                 matrix, rhs = build_system(1, restriction, order)
                 calls.clear()
                 solution = solve_linear_system(matrix, rhs)
-                assert mul_vec(entry_series(matrix), solution) == rhs, restriction
+                assert mul_vec(entry_series(matrix), [
+                    spread(support, z, period, order) for (support, _), z in zip(rhs, solution)
+                ]) == [spread(*entry, period, order) for entry in rhs], restriction
                 assert Counter(name for name, *_ in calls) == Counter({
-                    "quotient_coeffs": n * (n - 1) // 2 + n,
+                    "quotient_coeffs": n * (n - 1) // 2 + n * (n < period),
                     "add_product_coeffs": (n - 1) * n * (2 * n - 1) // 6,
                     "_add_dense_product": n * (n - 1),
                 }), restriction
@@ -406,7 +425,7 @@ class TestComplementRoute:
         complement = dict(zip(residues, (
             s.coeffs for s in solve_complement(dim, restriction, order))))
         reciprocal = dict(zip(residues, (
-            s.coeffs for s in solve_linear_system(*build_system(dim, restriction, order)))))
+            s.coeffs for s in solve_reciprocal(dim, restriction, order))))
         assert first_difference(complement, reciprocal) is None, (
             first_difference(complement, reciprocal))
         # Walks started at residue r see the set shifted by -r.
@@ -425,7 +444,7 @@ class TestComplementRoute:
     def test_one_forbidden_residue_closed_form(self, dim, residues, period):
         restriction = PeriodicSet(residues, period)
         order = 24
-        reciprocal = solve_linear_system(*build_system(dim, restriction, order))
+        reciprocal = solve_reciprocal(dim, restriction, order)
         for r, other in zip(residues, reciprocal):
             closed = one_forbidden_closed_form(dim, restriction, r, order)
             assert restricted_path_gf(dim, restriction, r, order) == closed
@@ -552,20 +571,28 @@ class TestRouteCounts:
             solve_restricted(dim, restriction, order)
             assert builds == [(dim, restriction, order)], restriction
 
-    def test_wide_staircase_takes_the_complement_route(self, monkeypatch):
+    def test_wide_staircase_takes_the_reciprocal_route(self, monkeypatch):
+        # The k = 16 staircase admits as many residues as it forbids.  Since
+        # the reciprocal route keeps each entry on its k forbidden classes,
+        # the two routes are mirror images, and a tie on the entry counts
+        # goes to the reciprocal route by the element counts.
         workloads = load_benchmark_module("workloads")
         k, order = workloads.SCALES["full"]["wide_stair"]
         builds, inverted = count_route(monkeypatch)
-        solve_restricted(1, PeriodicSet(*workloads.staircase(k)), order)
-        assert builds == [] and inverted == []
+        restriction = PeriodicSet(*workloads.staircase(k))
+        solve_restricted(1, restriction, order)
+        assert builds == [(1, restriction, order)] and inverted == []
 
     def test_identity_chain_staircases_take_the_estimated_route(self, monkeypatch):
         # (dim, k): the route with loops._reciprocals cold, and holding 1/L
-        # at the order of the workload.
+        # at the order of the workload.  Dim 1 needs no inversion, so from
+        # k = 2 on the reciprocal route's k-class right-hand side wins; in
+        # dim 2 at k = 3 it wins once 1/L is cached.
         expected = {
-            **{(1, k): ("complement", "complement") for k in range(1, 6)},
-            (1, 6): ("reciprocal", "reciprocal"),
-            **{(2, k): ("complement", "complement") for k in range(1, 4)},
+            (1, 1): ("complement", "complement"),
+            **{(1, k): ("reciprocal", "reciprocal") for k in range(2, 7)},
+            **{(2, k): ("complement", "complement") for k in range(1, 3)},
+            (2, 3): ("complement", "reciprocal"),
         }
         workloads = load_benchmark_module("workloads")
         seen = {}
@@ -596,7 +623,7 @@ class TestRouteChoice:
                 monkeypatch.setattr(system, "_solutions", OrderedDict())
                 chosen = [solve_restricted(dim, restriction, order)]
                 cold = system._route_costs(dim, restriction, order)
-                reciprocal = solve_linear_system(*build_system(dim, restriction, order))
+                reciprocal = solve_reciprocal(dim, restriction, order)
                 warm = system._route_costs(dim, restriction, order)
                 system._solutions.clear()
                 chosen.append(solve_restricted(dim, restriction, order))
@@ -609,6 +636,45 @@ class TestRouteChoice:
         # switches some sets from the complement to the reciprocal route.
         assert {cold_complement for cold_complement, _ in routes} == {False, True}
         assert ((True, False) in routes) == (dim > 1)
+
+
+class TestForcedRoutes:
+    @given(st.integers(min_value=1, max_value=3), periodic_set_st(max_period=12),
+           st.integers(min_value=-11, max_value=30))
+    # Orders to several periods: every product carries powers of u.
+    @example(2, PeriodicSet((0, 1, 3), 5), 25)
+    # The full set: no forbidden class, so every entry of A_RS 1_S is empty.
+    @example(2, PeriodicSet(range(12), 12), 0)
+    # One admissible residue: a 1 x 1 block and eleven classes.
+    @example(1, PeriodicSet((0,), 12), 5)
+    # One forbidden residue, 11, at order 11: the one class of residue 0
+    # lies past the order, so its entry is empty and the others are not.
+    @example(3, PeriodicSet(range(11), 12), -1)
+    # Order 3: residue 0 sees its forbidden classes 9..11 past the order,
+    # residue 8 sees 1 and 2 below it.
+    @example(1, PeriodicSet(range(9), 12), -9)
+    @settings(max_examples=60, deadline=None)
+    def test_routes_agree_with_each_other_and_the_oracle(self, dim, restriction, offset):
+        # Both routes forced, at an order below, at or past the period.  The
+        # reciprocal route keeps entry r on the classes S - r below
+        # min(period, order), which may be none.
+        period, residues = restriction.period, restriction.residues
+        order = min(max(1, period + offset), 16 if dim == 3 else 30)
+        reciprocal, complement = (
+            {r: s.coeffs for r, s in zip(residues, solve(dim, restriction, order))}
+            for solve in (solve_reciprocal, solve_complement))
+        assert first_difference(reciprocal, complement) is None, (
+            first_difference(reciprocal, complement))
+        # Walks started at residue r see the set shifted by -r.
+        half_len = min(order - 1, {1: 29, 2: 29, 3: 8}[dim])
+        shown = {r: reciprocal[r][: half_len + 1] for r in residues}
+        oracle = {
+            r: tuple(count_restricted(
+                dim, PeriodicSet([(q - r) % period for q in residues], period),
+                half_len).counts)
+            for r in residues
+        }
+        assert first_difference(shown, oracle) is None, first_difference(shown, oracle)
 
 
 def query_in_order(dim, restriction, order, rng):
@@ -647,7 +713,7 @@ def query_in_order(dim, restriction, order, rng):
     cold = {}
     for n in (order, higher):
         complement = [s.coeffs for s in solve_complement(dim, restriction, n)]
-        reciprocal = [s.coeffs for s in solve_linear_system(*build_system(dim, restriction, n))]
+        reciprocal = [s.coeffs for s in solve_reciprocal(dim, restriction, n)]
         assert complement == reciprocal
         cold[n] = dict(zip(restriction.residues, complement))
     for r, n, coeffs in got:
@@ -677,20 +743,23 @@ class TestResiduesOnDemand:
     def test_residues_one_by_one_repeat_one_all_residue_solve(
             self, dim, residues, period, order, monkeypatch):
         # Every residue read alone, in any order, makes the kernel calls of
-        # one solve_restricted, product for product: the block is factored
+        # one all-residue read, product for product: the block is factored
         # once, and each residue costs its own column only, whether the
-        # first read completes the entry or not.
+        # first read completes the entry or not.  The staircase {0..7} mod
+        # 16 is completed at its first read; it takes the reciprocal route
+        # in the cache, so every case is put on the complement route here.
         restriction = PeriodicSet(residues, period)
-        assert takes_complement(dim, restriction, order)
         calls = count_kernels(monkeypatch)
-        solve_restricted(dim, restriction, order)
+        entry = system._Solved(dim, restriction, order, True)
+        for r in restriction.residues:
+            entry.walk_series(r, order)
         together = Counter(calls)
-        system._solutions.clear()
         calls.clear()
+        entry = system._Solved(dim, restriction, order, True)
         starts = list(restriction.residues)
         random.Random(period).shuffle(starts)
         for r in starts:
-            restricted_path_gf(dim, restriction, r, order)
+            entry.walk_series(r, order)
         assert Counter(calls) == together
         assert len(calls) == system._complement_entries(restriction.size, period - restriction.size)
 
@@ -745,17 +814,24 @@ class TestResiduesOnDemand:
     def test_requery_after_a_completing_read_is_a_hit(self, monkeypatch):
         # The wide-system pattern: residue 0 of the staircase, then every
         # residue.  The first read solves them all, so the second makes no
-        # kernel call.
+        # kernel call.  The staircase takes the reciprocal route, which
+        # solves every residue at once; put on the complement route, it
+        # admits no more residues than it forbids and is completed at
+        # construction all the same.
         workloads = load_benchmark_module("workloads")
         k, order = workloads.SCALES["full"]["wide_stair"]
         restriction = PeriodicSet(*workloads.staircase(k))
+        assert not takes_complement(1, restriction, order)
         calls = count_kernels(monkeypatch)
         restricted_path_gf(1, restriction, 0, order)
-        assert len(calls) == system._complement_entries(k, k)
+        assert len(calls) == k * (k - 1) // 2 + k + (k - 1) * k * (2 * k - 1) // 6 + k * (k - 1)
         calls.clear()
         for r in restriction.residues:
             restricted_path_gf(1, restriction, r, order)
         assert calls == []
+        entry = system._Solved(1, restriction, order, True)
+        assert len(calls) == system._complement_entries(k, k)
+        assert sorted(entry.series) == list(restriction.residues)
 
     def test_counted_calls_equal_the_route_count(self, monkeypatch):
         # Every set of period <= 8: the kernel calls of the complement route
@@ -796,7 +872,7 @@ class TestResiduesOnDemand:
 
     @pytest.mark.parametrize("dim, residues, period, order, route", [
         (2, (0, 2, 3, 5, 9, 10, 12, 14, 17, 19, 22, 27), 28, 40, False),
-        (1, range(8), 16, 200, True),
+        (1, range(9), 16, 200, True),
         (2, (0, 2), 5, 30, True),
         (3, (0, 1), 3, 20, True),
     ])
