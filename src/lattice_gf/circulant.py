@@ -27,11 +27,16 @@ circulant.
 
 The three determinant checks of one ``(dim, k, order)`` share one staircase
 record, ``_staircase``: the restriction quarter, the escaping quarter and
-the column-substituted quarter, whose first column is the escaping one,
-all built when the record is made, and their determinants.  Each
-determinant is eliminated once per record, by the first check that reads
-it, so no check pays for a determinant it does not compare, and a check
-costs about the same whichever check of its record ran first.  The
+the column-substituted quarter, all built when the record is made, and
+their determinants.  The restriction quarter is built on the labels
+``1..k-1, 0``, a symmetric permutation that keeps its determinant and its
+unit pivots and puts the column of label 0 last; the substituted quarter
+is the same rows with that last column taken from the escaping quarter.
+The first read of either of the two eliminates the restriction quarter
+once and passes the substituted column through its factors, which gives
+both determinants; the escaping quarter is eliminated on its own first
+read.  So a record costs two eliminations, paid by the first check that
+reads it, whichever check that is, and each later check is a lookup.  The
 records sit in a ``functools.lru_cache`` bounded by
 ``STAIRCASE_CACHE_SIZE``, least recently used dropped first.  Its key is
 typed, because ``2.0 == 2`` and ``True == 1`` hash alike: an untyped key
@@ -48,7 +53,8 @@ from .errors import check_int
 from .loops import LoopModel
 from .periodic import hajnal_nagy_set
 from .series import TruncatedSeries
-from .system import SeriesMatrix, _circulant_block, restricted_path_gf, series_determinant
+from .system import (SeriesMatrix, _circulant_block, _last_column_determinants,
+                     restricted_path_gf, series_determinant)
 
 # Bound of the _staircase records; one identity-chain pass asks for 9
 # distinct (dim, k, order).
@@ -74,19 +80,28 @@ def escaping_circulant(dim: int, n: int, order: int) -> SeriesMatrix:
 class _Staircase(dict):
     """Determinants of the restriction, escaping and column-substituted
     quarters of the ``2k x 2k`` circulants of one ``(dim, k, order)``, by
-    name.  The quarters are built with the record; each determinant is
-    eliminated on first use."""
+    name.  The quarters are built with the record: the restriction quarter
+    on the labels ``1..k-1, 0``, the substituted quarter as its rows with
+    the last column, that of label 0, from the escaping quarter in the
+    same row order, and the escaping quarter on ``0..k-1``.  The
+    restriction and substituted determinants come from one elimination on
+    the first read of either, the escaping one from its own."""
 
     def __init__(self, dim: int, k: int, order: int):
         model = LoopModel(dim, order)
-        restriction = _circulant_block(model.reciprocal_loop_gf(), 2 * k, range(k))
+        labels = (*range(1, k), 0)
+        restriction = _circulant_block(model.reciprocal_loop_gf(), 2 * k, labels)
         escaping = _circulant_block(model.escaping_gf(), 2 * k, range(k))
-        rows = tuple((e[0], *r[1:]) for r, e in zip(restriction.rows, escaping.rows))
+        rows = tuple((*row[:-1], escaping.rows[r][0]) for row, r in zip(restriction.rows, labels))
         substituted = SeriesMatrix(rows, restriction.classes, 2 * k, order)
         self.quarters = dict(restriction=restriction, escaping=escaping, substituted=substituted)
 
     def __missing__(self, name: str) -> TruncatedSeries:
-        return self.setdefault(name, series_determinant(self.quarters[name]))
+        if name == "escaping":
+            return self.setdefault(name, series_determinant(self.quarters[name]))
+        self["restriction"], self["substituted"] = _last_column_determinants(
+            self.quarters["restriction"], self.quarters["substituted"])
+        return self[name]
 
 
 _staircase = functools.lru_cache(maxsize=STAIRCASE_CACHE_SIZE, typed=True)(_Staircase)

@@ -273,8 +273,16 @@ def _add_verify_flags(sub) -> None:
     sub.set_defaults(func=cmd_verify)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(digit_limit=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Its errors, and those of its
+    subparsers, which share its class, give each integer of more than
+    ``digit_limit`` digits by its digit count, as ``_brief`` does."""
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            super().error(_brief(message, digit_limit))
+
+    parser = Parser(
         prog="lattice-gf",
         description="Exact generating functions of restricted directed lattice walks",
     )
@@ -318,13 +326,14 @@ def main(argv=None) -> int:
     # An option or a coefficient may have any number of digits, so parsing
     # and the subcommand run without the interpreter's limit on int-to-str
     # conversion (Python 3.10.7 and later).  It is restored on every exit,
-    # and a refusal gives the digit count of an integer past it.
+    # and a refusal, argparse's own included, gives the digit count of an
+    # integer past it.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser(limit).parse_args(argv)
         except SystemExit as exc:
             return int(exc.code) if exc.code else 0
         # The one --order check; every subcommand takes --order.

@@ -26,14 +26,15 @@ only, about ``order / period`` of them.  ``_circulant_block`` builds it by
 slicing the series once per class, so the grading holds by construction
 and is never checked at run time.  Elimination keeps the grading, so the
 one kernel ``_eliminate``, shared by ``solve_linear_system``,
-``series_determinant`` and ``_Solved``, works on ``u``-coefficients
-throughout.  Pivots are never inverted: each elimination
-factor and each step of back substitution is one exact quotient by a
-pivot, ``series.quotient_coeffs``, which costs what an inverse would.  The
-kernel keeps every pivot negated on the diagonal and every factor negated
-in the slot below the diagonal that it clears, so a right-hand side is
-reduced afterwards by a forward pass through the kept factors, and every
-update adds a product into the entry in place.
+``series_determinant``, ``_last_column_determinants`` and ``_Solved``,
+works on ``u``-coefficients throughout.  Pivots are never inverted: each
+elimination factor and each step of back substitution is one exact
+quotient by a pivot, ``series.quotient_coeffs``, which costs what an
+inverse would.  The kernel keeps every pivot negated on the diagonal and
+every factor negated in the slot below the diagonal that it clears, so a
+right-hand side is reduced afterwards by a forward pass through the kept
+factors, ``_forward`` for one graded column, and every update adds a
+product into the entry in place.
 
 Over all residues write ``C(f)`` for the matrix with entry ``(r, q)`` equal
 to ``multisection(f, period, shift(r, q))``.  Classes add under
@@ -176,21 +177,62 @@ def _eliminate(matrix: SeriesMatrix) -> list:
     return rows
 
 
+def _forward(rows: list, column: list, classes) -> list:
+    """Reduce ``column`` in place through the factors that ``_eliminate``
+    keeps below the diagonal of ``rows``, ``n (n-1) / 2`` products: entry
+    ``j`` lies in class ``classes[j]``, and entry ``(j, i)`` times entry
+    ``i`` is added to entry ``j`` for ``i`` ascending, carrying by the rule
+    of ``_eliminate``."""
+    n = len(column)
+    for i in range(n):
+        for j in range(i + 1, n):
+            # Classes (j, i) and i add to class j.
+            add_product_coeffs(column[j], rows[j][i], column[i], classes[i] > classes[j])
+    return column
+
+
+def _pivot_product(pivots: list, period: int, order: int) -> TruncatedSeries:
+    """The determinant from the negated pivots that ``_eliminate`` keeps on
+    the diagonal, coefficient lists in ``u = t**period``: their product,
+    negated once for an odd count, expanded back to ``t``."""
+    det = TruncatedSeries(pivots[0])
+    for pivot in pivots[1:]:
+        det = det * TruncatedSeries(pivot)
+    coeffs = [0] * order
+    coeffs[::period] = [-x for x in det.coeffs] if len(pivots) % 2 else det.coeffs
+    return TruncatedSeries(coeffs)
+
+
 def series_determinant(matrix: SeriesMatrix) -> TruncatedSeries:
     """Exact determinant by elimination; every pivot must be a unit.
 
-    The determinant is the product of the pivots, which ``_eliminate``
-    keeps negated on the diagonal: an odd size negates that product once.
-    The pivots lie in class 0, so the product is taken in ``u =
-    t**period`` and expanded back to ``t``.
+    The determinant is the product of the pivots, which lie in class 0, so
+    ``_pivot_product`` takes it in ``u = t**period``.
     """
     rows = _eliminate(matrix)
-    det = TruncatedSeries(rows[0][0])
-    for i in range(1, matrix.n):
-        det = det * TruncatedSeries(rows[i][i])
-    coeffs = [0] * matrix.order
-    coeffs[:: matrix.period] = [-x for x in det.coeffs] if matrix.n % 2 else det.coeffs
-    return TruncatedSeries(coeffs)
+    return _pivot_product([row[i] for i, row in enumerate(rows)], matrix.period, matrix.order)
+
+
+def _last_column_determinants(matrix: SeriesMatrix, substituted: SeriesMatrix) -> tuple:
+    """``(det matrix, det substituted)`` by one elimination, for a block
+    ``substituted`` that differs from ``matrix`` in its last column only.
+
+    The first ``n - 1`` elimination steps never read the last column, so
+    they are the same for both blocks (a Schur complement; in fraction-free
+    form, Bareiss 1969).  The last column of ``substituted`` is reduced by
+    one ``_forward`` pass through the factors of ``matrix``, and its
+    reduced last entry takes the place of the last pivot, which need not be
+    a unit since nothing is divided by it.  Every pivot of ``matrix`` must
+    be a unit.
+    """
+    rows = _eliminate(matrix)
+    last = matrix.n - 1
+    column = _forward(rows, [list(row[last]) for row in substituted.rows],
+                      [row[last] for row in matrix.classes])
+    pivots = [row[i] for i, row in enumerate(rows)]
+    det = _pivot_product(pivots, matrix.period, matrix.order)
+    pivots[last] = [-x for x in column[last]]
+    return det, _pivot_product(pivots, matrix.period, matrix.order)
 
 
 def _circulant_block(series: TruncatedSeries, period: int, labels) -> SeriesMatrix:
@@ -422,17 +464,13 @@ class _Solved:
     def _solve(self, r: int) -> TruncatedSeries:
         """``P_r``: ``1 - sum_s W_sr`` over ``1 - 4**d t``, with ``W_sr`` on
         class ``s - r``.  Column ``r`` of ``B_RS^T`` holds class ``s - r`` of
-        the loop series on the row of each forbidden ``s``.  A forward pass
-        through the kept factors reduces it, and back substitution adds into
+        the loop series on the row of each forbidden ``s``.  ``_forward``
+        reduces it through the kept factors, and back substitution adds into
         each reduced entry and divides it once by its negated pivot, carrying
         by the rule of ``_eliminate``.  A full set needs no solve."""
         period, rows, k = self.period, self.rows, len(self.forbidden)
         classes = [(s - r) % period for s in self.forbidden]
-        column = [list(self.loop[c::period]) for c in classes]
-        for i in range(k):
-            for j in range(i + 1, k):
-                # Classes q - s and s - r add to q - r.
-                add_product_coeffs(column[j], rows[j][i], column[i], classes[i] > classes[j])
+        column = _forward(rows, [list(self.loop[c::period]) for c in classes], classes)
         for i in reversed(range(k)):
             # -W_sr: the reduced entry plus row i times the kept -W_qr, over
             # the negated pivot.

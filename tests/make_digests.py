@@ -12,7 +12,12 @@ A group is one kind of output at one ``(dim, order, period)``:
   picks; periods 1-7, dims 1-3 at orders 17 and 40 and dim 4 at order 17;
 - ``staircase``: the three ``_staircase`` determinants of ``k = period / 2``
   and the verdicts of the four circulant checks, k = 1..6, dims 1-2 at
-  order 40;
+  order 40.  The record holds the restriction quarter on the labels
+  ``1..k-1, 0``, the substituted quarter as its rows with the last column
+  from the escaping quarter, and the escaping quarter on ``0..k-1``; a
+  symmetric permutation keeps a determinant, so ``--check`` explains a
+  mismatch by the Leibniz determinant of ``record.quarters[label]`` as
+  the record holds it;
 - ``circulant``: ``series_determinant`` of ``restriction_circulant`` and
   ``escaping_circulant`` of size ``period`` and, for an even size, of their
   quarters; sizes 1-6, dims 1-3 at orders 17 and 40;

@@ -5,7 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
-from lattice_gf import circulant
+from lattice_gf import circulant, system
 from lattice_gf import series as series_module
 from lattice_gf.circulant import (
     column_substitution_check,
@@ -311,6 +311,92 @@ class TestStaircaseSharing:
                 assert self.copied(record) == built, (k, names)
 
 
+def natural_quarters(dim: int, k: int, order: int) -> tuple:
+    """The restriction quarter on the labels ``0..k-1`` and its version
+    with column 0 taken from the escaping quarter, independent of the
+    label order of the staircase record."""
+    model = LoopModel(dim, order)
+    restriction = system._circulant_block(model.reciprocal_loop_gf(), 2 * k, range(k))
+    escaping = system._circulant_block(model.escaping_gf(), 2 * k, range(k))
+    rows = tuple((e[0], *r[1:]) for r, e in zip(restriction.rows, escaping.rows))
+    return restriction, system.SeriesMatrix(rows, restriction.classes, 2 * k, order)
+
+
+def product_count(n: int) -> int:
+    """Entry products of eliminating an ``n x n`` block: ``(n-1-i)**2`` at
+    step ``i``."""
+    return (n - 1) * n * (2 * n - 1) // 6
+
+
+class TestJointElimination:
+    """The restriction and substituted determinants of a record come from
+    one elimination of the restriction quarter, label 0 last, and one
+    forward pass of the substituted column; both must be the determinants
+    of the blocks in their natural label order."""
+
+    @pytest.mark.parametrize("dim, k", [(dim, k) for dim in (1, 2, 3) for k in range(1, 9)])
+    def test_matches_elimination_in_natural_order(self, dim, k):
+        # Below the period some entries are cut to nothing.
+        for order in (2 * k - 1, 2 * k, 2 * k + 1, 40):
+            record = circulant._Staircase(dim, k, order)
+            restriction, substituted = natural_quarters(dim, k, order)
+            assert record["restriction"] == series_determinant(restriction), order
+            assert record["substituted"] == series_determinant(substituted), order
+
+    @pytest.mark.parametrize("dim, k", [(dim, k) for dim in (1, 2, 3) for k in range(1, 5)])
+    def test_matches_leibniz(self, dim, k):
+        # Leibniz has no pivots and no sign convention, so a sign error
+        # shared with series_determinant shows here.
+        for order in (2 * k - 1, 2 * k, 2 * k + 1, 17):
+            record = circulant._Staircase(dim, k, order)
+            restriction, substituted = natural_quarters(dim, k, order)
+            assert record["restriction"] == leibniz_determinant(entry_series(restriction)), order
+            assert record["substituted"] == leibniz_determinant(entry_series(substituted)), order
+
+    @pytest.mark.parametrize("period, labels", [
+        (3, (0, 2, 1)), (4, (3, 1)), (5, (3, 0, 4, 1)), (5, (2, 4, 0, 3)), (6, (5, 2, 3, 0)),
+    ])
+    def test_any_last_column_of_any_grading(self, period, labels):
+        # The last column's classes are not monotone here, so a product
+        # that carries and one that does not both occur in the forward pass.
+        order = 23
+        model = LoopModel(2, order)
+        matrix = system._circulant_block(model.reciprocal_loop_gf(), period, labels)
+        other = system._circulant_block(model.loop_gf(), period, labels)
+        rows = tuple((*row[:-1], o[-1]) for row, o in zip(matrix.rows, other.rows))
+        substituted = system.SeriesMatrix(rows, matrix.classes, period, order)
+        assert system._last_column_determinants(matrix, substituted) == (
+            leibniz_determinant(entry_series(matrix)),
+            leibniz_determinant(entry_series(substituted)))
+
+    @pytest.mark.parametrize("dim, k", [(1, 1), (1, 4), (2, 3), (3, 5)])
+    def test_two_eliminations_and_one_forward_column(self, monkeypatch, dim, k):
+        # Counted on a cold record: the first read of the restriction or
+        # substituted determinant eliminates the restriction quarter and
+        # adds k (k-1) / 2 products for the substituted column; the
+        # escaping read eliminates its own quarter, and nothing else is
+        # eliminated or multiplied.
+        sizes, products = [], []
+        eliminate, product = system._eliminate, system.add_product_coeffs
+        monkeypatch.setattr(system, "_eliminate",
+                            lambda matrix: sizes.append(matrix.n) or eliminate(matrix))
+        monkeypatch.setattr(system, "add_product_coeffs",
+                            lambda *args: products.append(1) or product(*args))
+        for first in ("restriction", "substituted"):
+            sizes.clear()
+            products.clear()
+            record = circulant._Staircase(dim, k, 30)
+            record[first]
+            assert (sizes, len(products)) == ([k], product_count(k) + k * (k - 1) // 2)
+            for name in ("restriction", "substituted"):
+                record[name]
+            assert (sizes, len(products)) == ([k], product_count(k) + k * (k - 1) // 2)
+            record["escaping"]
+            for name in TestStaircaseSharing.NAMES:
+                record[name]
+            assert (sizes, len(products)) == ([k, k], 2 * product_count(k) + k * (k - 1) // 2)
+
+
 class TestGradedDeterminant:
     @pytest.mark.parametrize("dim, k", [(1, 1), (1, 2), (1, 4), (2, 2), (2, 3), (3, 2)])
     def test_matches_trivial_grading(self, dim, k):
@@ -457,7 +543,8 @@ class TestDeterminantChain:
         # The full determinant is the circulant norm, so no full circulant
         # is built; the cold staircase record builds the restriction and
         # escaping quarters (reciprocal and escaping series: t-coefficients
-        # -2 and 2), and a warm one builds nothing.
+        # -2 and 2), the first with label 0 last, and a warm one builds
+        # nothing.
         built = []
         block = circulant._circulant_block
 
@@ -467,29 +554,35 @@ class TestDeterminantChain:
 
         monkeypatch.setattr(circulant, "_circulant_block", recording)
         assert hn_determinant_check(3, 14)
-        assert built == [(-2, 6, (0, 1, 2)), (2, 6, (0, 1, 2))]
+        assert built == [(-2, 6, (1, 2, 0)), (2, 6, (0, 1, 2))]
         built.clear()
         assert hn_determinant_check(3, 14)
         assert built == []
 
     def test_each_check_eliminates_only_what_it_compares(self, monkeypatch):
-        # A determinant of the record is eliminated by the first check that
-        # reads it, so no check pays for the substituted quarter unless it
-        # compares it, whichever check of the record runs first; the full
-        # determinant of hn_determinant_check is the circulant norm.
-        sizes = []
-        determinant = circulant.series_determinant
-        monkeypatch.setattr(circulant, "series_determinant",
-                            lambda matrix: sizes.append(matrix.n) or determinant(matrix))
-        steps = [(cramer_ratio_check, (1, 3, 14), [3, 3]),
-                 (column_substitution_check, (1, 3, 14), [3]),
+        # The quarters of a record are eliminated by the first check that
+        # reads them, whichever check that is: the restriction quarter,
+        # whose factors give the substituted determinant too, and the
+        # escaping quarter.  Every check compares the escaping determinant
+        # with one of the other two, so a later check of the record
+        # eliminates nothing; the full determinant of hn_determinant_check
+        # is the circulant norm.  Eliminations outside the record are the
+        # solves of cramer_ratio_check.
+        eliminated = []
+        eliminate = system._eliminate
+        monkeypatch.setattr(system, "_eliminate",
+                            lambda matrix: eliminated.append(matrix) or eliminate(matrix))
+        steps = [(cramer_ratio_check, (1, 3, 14), ["escaping", "restriction"]),
+                 (column_substitution_check, (1, 3, 14), []),
                  (hn_determinant_check, (3, 14), []),
-                 (column_substitution_check, (2, 2, 14), [2, 2]),
-                 (cramer_ratio_check, (2, 2, 14), [2])]
+                 (column_substitution_check, (2, 2, 14), ["restriction", "escaping"]),
+                 (cramer_ratio_check, (2, 2, 14), [])]
         for check, args, expected in steps:
-            sizes.clear()
+            eliminated.clear()
             assert check(*args)
-            assert sizes == expected, check.__name__
+            record = circulant._staircase(*args) if len(args) == 3 else circulant._staircase(1, *args)
+            names = {id(block): name for name, block in record.quarters.items()}
+            assert [names[id(m)] for m in eliminated if id(m) in names] == expected, check.__name__
 
     @pytest.mark.parametrize("k", [True, 2.0, "2"])
     def test_staircase_checks_refuse_non_int_size(self, k):

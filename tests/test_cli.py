@@ -686,6 +686,21 @@ class TestLongCoefficients:
         assert sys.get_int_max_str_digits() == 4300
 
 
+    @pytest.mark.parametrize("digits", [4300, 5000])
+    def test_malformed_long_option_exits_2_in_one_short_line(self, capsys, digits):
+        # argparse's own refusal echoes the option, and an integer in it
+        # past the limit is given by its digit count, as in the refusals
+        # that main prints.
+        argv = ("gf", "--dim", "1", "--residues", "0", "--period", "2",
+                "--order", "9" * digits + "x")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        value = "9" * digits if digits <= 4300 else f"({digits} digits)"
+        assert err.splitlines()[-1] == (
+            f"lattice-gf gf: error: argument --order: invalid int value: '{value}x'")
+        assert sys.get_int_max_str_digits() == 4300
+
 class TestUnwritableOut:
     COMMANDS = {
         "gf": ("gf", "--dim", "1", "--residues", "0", "--period", "2",

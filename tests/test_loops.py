@@ -254,20 +254,28 @@ class TestLoopInversionCounts:
         assert bound == circulant.STAIRCASE_CACHE_SIZE
         assert isinstance(bound, int) and bound >= len(records) == 9
         system._solutions.clear()
-        sizes = []
-        determinant = circulant.series_determinant
-        monkeypatch.setattr(circulant, "series_determinant",
-                            lambda matrix: sizes.append(matrix.n) or determinant(matrix))
+        eliminated = []
+        eliminate = system._eliminate
+        monkeypatch.setattr(system, "_eliminate",
+                            lambda matrix: eliminated.append(matrix) or eliminate(matrix))
         for task in tasks:
             assert getattr(circulant, task["name"])(*task["args"]), task
-        # Three quarters per record, 9 * 3; hn_determinant_check takes the
-        # full determinant from the circulant norm and eliminates nothing.
-        assert sorted(sizes) == sorted(3 * [k for _, k, _ in records]) and len(sizes) == 27
-        sizes.clear()
+        # Two eliminations per record, 9 * 2: the restriction quarter, whose
+        # factors give the substituted determinant too, and the escaping
+        # quarter.  hn_determinant_check takes the full determinant from
+        # the circulant norm; the other eliminations are the solves of
+        # cramer_ratio_check.
+        quarters = {id(block): (name, args[1]) for args in records
+                    for name, block in circulant._staircase(*args).quarters.items()}
+        staircase = [quarters[id(matrix)] for matrix in eliminated if id(matrix) in quarters]
+        assert sorted(staircase) == sorted(
+            (name, k) for _, k, _ in records for name in ("escaping", "restriction"))
+        assert len(staircase) == 18
+        eliminated.clear()
         for task in tasks:
             assert getattr(circulant, task["name"])(*task["args"]), task
-        # A warm pass eliminates nothing.
-        assert sizes == []
+        # A warm pass eliminates nothing, the solves included.
+        assert eliminated == []
 
     def test_verify_hn_inverts_no_loop_series(self, monkeypatch, capsys):
         system._solutions.clear()
